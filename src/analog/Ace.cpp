@@ -10,6 +10,18 @@ namespace darth
 namespace analog
 {
 
+namespace
+{
+
+/**
+ * Column block of the ideal-array kernel. The block loops have this
+ * fixed trip count (cell-code rows are padded to a multiple of it), so
+ * the compiler vectorizes them without a scalar remainder.
+ */
+constexpr std::size_t kCodeBlock = 16;
+
+} // namespace
+
 Ace::Ace(const AceConfig &config, CostTally *tally, u64 seed)
     : cfg_(config), tally_(tally), seed_(seed), adc_(config.adc)
 {
@@ -95,6 +107,13 @@ Ace::reprogramAll()
 
     const auto slices = sliceSignedMatrix(matrix_, elementBits_,
                                           bitsPerCell_);
+    const bool ideal = cfg_.noise.ideal();
+    codeStride_ = (matrix_.cols() + kCodeBlock - 1) / kCodeBlock *
+                  kCodeBlock;
+    cellCodes_.assign(ideal ? static_cast<std::size_t>(slices_) *
+                                  matrix_.rows() * codeStride_
+                            : 0,
+                      0);
     u64 cells_written = 0;
     for (int s = 0; s < slices_; ++s) {
         for (std::size_t rt = 0; rt < rowTiles_; ++rt) {
@@ -106,10 +125,20 @@ Ace::reprogramAll()
                 const std::size_t nc =
                     std::min(colsPerTile_, matrix_.cols() - c0);
                 MatrixI sub(nr, nc);
-                for (std::size_t r = 0; r < nr; ++r)
-                    for (std::size_t c = 0; c < nc; ++c)
+                for (std::size_t r = 0; r < nr; ++r) {
+                    const std::size_t code_row =
+                        (static_cast<std::size_t>(s) * matrix_.rows() +
+                         r0 + r) *
+                            codeStride_ +
+                        c0;
+                    for (std::size_t c = 0; c < nc; ++c) {
                         sub(r, c) = slices[static_cast<std::size_t>(s)](
                             r0 + r, c0 + c);
+                        if (ideal)
+                            cellCodes_[code_row + c] =
+                                static_cast<i16>(sub(r, c));
+                    }
+                }
                 auto xb = std::make_unique<Crossbar>(
                     cfg_.arrayRows, cfg_.arrayCols, bitsPerCell_,
                     cfg_.noise,
@@ -151,6 +180,40 @@ Ace::updateCol(std::size_t col, const std::vector<i64> &values)
 std::vector<PartialProduct>
 Ace::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
 {
+    std::vector<PartialProduct> stream;
+    execMvmInto(x, input_bits, start, stream);
+    return stream;
+}
+
+void
+Ace::idealPartial(const std::vector<int> &bits, int s,
+                  std::size_t row_lo, std::size_t row_hi,
+                  i64 *out) const
+{
+    const std::size_t cols = matrix_.cols();
+    const i16 *slice = &cellCodes_[static_cast<std::size_t>(s) *
+                                   matrix_.rows() * codeStride_];
+    const i64 lo = adc_.minCode();
+    const i64 hi = adc_.maxCode();
+    for (std::size_t c0 = 0; c0 < cols; c0 += kCodeBlock) {
+        i32 acc[kCodeBlock] = {};
+        for (std::size_t r = row_lo; r < row_hi; ++r) {
+            if (bits[r] == 0)
+                continue;
+            const i16 *__restrict w = slice + r * codeStride_ + c0;
+            for (std::size_t c = 0; c < kCodeBlock; ++c)
+                acc[c] += w[c];
+        }
+        const std::size_t n = std::min(kCodeBlock, cols - c0);
+        for (std::size_t c = 0; c < n; ++c)
+            out[c0 + c] = std::clamp<i64>(acc[c], lo, hi);
+    }
+}
+
+void
+Ace::execMvmInto(const std::vector<i64> &x, int input_bits, Cycle start,
+                 std::vector<PartialProduct> &stream)
+{
     if (!hasMatrix())
         darth_fatal("Ace::execMvm: no matrix programmed");
     if (x.size() != matrix_.rows())
@@ -158,9 +221,11 @@ Ace::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
                     " != matrix rows ", matrix_.rows());
 
     const auto planes = sliceInput(x, input_bits);
-    std::vector<PartialProduct> stream;
+    const std::size_t cols = matrix_.cols();
+    const bool ideal = !cellCodes_.empty();
     stream.reserve(planes.size() * static_cast<std::size_t>(slices_) *
                    rowTiles_ * rowGroups_);
+    std::size_t produced = 0;
 
     Cycle array_free = start;
     Cycle adc_free = start;
@@ -177,8 +242,8 @@ Ace::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
         t_sh = &tally_->entry("ace.sh");
         t_adc = &tally_->entry("ace.adc");
     }
-    // Scratch buffers reused across every tile of every plane: the
-    // per-solve allocations dominated the analog hot path.
+    // Scratch buffers reused across every tile of every plane (the
+    // crossbar path only).
     std::vector<int> bits;
     std::vector<double> v_scratch;
     std::vector<double> analog;
@@ -203,7 +268,7 @@ Ace::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
             t_array->cycles += cfg_.settleCycles;
             t_array->energy += cfg_.arrayActivationEnergyPJ * arrays;
             t_sh->events += 1;
-            t_sh->energy += static_cast<double>(matrix_.cols()) *
+            t_sh->energy += static_cast<double>(cols) *
                             cfg_.sampleHoldEnergyPJ *
                             static_cast<double>(slices_ * rowTiles_);
         }
@@ -220,33 +285,38 @@ Ace::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
                     const std::size_t gnr =
                         std::min(rowsPerGroup_, nr - gr0);
 
-                    PartialProduct pp;
-                    pp.shift = plane.bit +
-                               s * bitsPerCell_;
+                    if (produced == stream.size())
+                        stream.emplace_back();
+                    PartialProduct &pp = stream[produced++];
+                    pp.shift = plane.bit + s * bitsPerCell_;
                     pp.negate = plane.negate;
-                    pp.values.assign(matrix_.cols(), 0);
+                    pp.values.resize(cols);
 
-                    bool any_active = false;
-                    for (std::size_t ct = 0; ct < colTiles_; ++ct) {
-                        Crossbar &xb = xbar(s, rt, ct);
-                        bits.assign(xb.logicalRows(), 0);
-                        for (std::size_t r = 0; r < gnr; ++r) {
-                            const int bit = plane.bits[r0 + gr0 + r];
-                            bits[gr0 + r] = bit;
-                            any_active |= bit != 0;
+                    if (ideal) {
+                        idealPartial(plane.bits, s, r0 + gr0,
+                                     r0 + gr0 + gnr, pp.values.data());
+                    } else {
+                        // The group's wordline drive is the same for
+                        // every column tile of the row tile.
+                        bits.assign(nr, 0);
+                        for (std::size_t r = 0; r < gnr; ++r)
+                            bits[gr0 + r] = plane.bits[r0 + gr0 + r];
+                        for (std::size_t ct = 0; ct < colTiles_; ++ct) {
+                            xbar(s, rt, ct).mvmBitInputInto(
+                                bits, v_scratch, analog);
+                            const std::size_t c0 = ct * colsPerTile_;
+                            for (std::size_t c = 0; c < analog.size();
+                                 ++c)
+                                pp.values[c0 + c] =
+                                    adc_.convert(analog[c]);
                         }
-                        xb.mvmBitInputInto(bits, v_scratch, analog);
-                        const std::size_t c0 = ct * colsPerTile_;
-                        for (std::size_t c = 0; c < analog.size(); ++c)
-                            pp.values[c0 + c] = adc_.convert(analog[c]);
                     }
 
                     // Conversions serialize on the shared ADCs.
                     const Cycle conv_start = std::max(adc_free, sampled);
                     const Cycle conv_done =
                         conv_start +
-                        adc_.conversionLatency(matrix_.cols(),
-                                               cfg_.numAdcs,
+                        adc_.conversionLatency(cols, cfg_.numAdcs,
                                                rampSweepStates_);
                     adc_free = conv_done;
                     pp.convStart = conv_start;
@@ -255,16 +325,13 @@ Ace::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
                         t_adc->events += 1;
                         t_adc->cycles += conv_done - conv_start;
                         t_adc->energy += adc_.conversionEnergy(
-                            matrix_.cols(), cfg_.numAdcs,
-                            rampSweepStates_);
+                            cols, cfg_.numAdcs, rampSweepStates_);
                     }
-                    (void)any_active;
-                    stream.push_back(std::move(pp));
                 }
             }
         }
     }
-    return stream;
+    stream.resize(produced);
 }
 
 std::vector<i64>

@@ -17,6 +17,12 @@
  * standard precision-versus-throughput trade: more groups, more
  * conversions). Tests assert integer exactness of the full pipeline in
  * the ideal-noise configuration.
+ *
+ * With an ideal noise model every ADC code is the clamped integer
+ * column sum of the active rows (the double-precision solve sits
+ * within ~1e-11 LSB of it), so execMvm() computes the codes from an
+ * integer copy of the slices instead of solving each crossbar; the
+ * crossbars are still programmed, and timing and tallies are the same.
  */
 
 #ifndef DARTH_ANALOG_ACE_H
@@ -148,6 +154,15 @@ class Ace
     std::vector<PartialProduct> execMvm(const std::vector<i64> &x,
                                         int input_bits, Cycle start);
 
+    /**
+     * execMvm() into a caller-owned stream: existing entries and their
+     * `values` capacity are reused and the stream is resized to the
+     * partial-product count, so a caller that keeps one stream across
+     * MVMs allocates nothing in steady state.
+     */
+    void execMvmInto(const std::vector<i64> &x, int input_bits,
+                     Cycle start, std::vector<PartialProduct> &stream);
+
     /** Exact integer reference of the full MVM (tests). */
     std::vector<i64> referenceMvm(const std::vector<i64> &x) const;
 
@@ -160,6 +175,15 @@ class Ace
     Crossbar &xbar(int s, std::size_t rt, std::size_t ct);
 
     void reprogramAll();
+
+    /**
+     * Ideal-array partial product: out[c] = the ADC code of
+     * sum over rows [row_lo, row_hi) with bits[r] set of slice s's
+     * cell code (r, c), i.e. clamp(sum, minCode, maxCode).
+     */
+    void idealPartial(const std::vector<int> &bits, int s,
+                      std::size_t row_lo, std::size_t row_hi,
+                      i64 *out) const;
 
     AceConfig cfg_;
     CostTally *tally_;
@@ -178,6 +202,15 @@ class Ace
     /** Effective ramp sweep length (see rampSweepStates()). */
     Cycle rampSweepStates_ = 0;
     std::vector<std::unique_ptr<Crossbar>> xbars_;
+    /**
+     * Ideal noise only (empty otherwise): every slice's signed cell
+     * codes, slice-major, each slice row-major over the matrix rows
+     * with a row stride of codeStride_ (cols rounded up to the
+     * kernel's block width, padding zero). Filled tile by tile as the
+     * crossbars are programmed.
+     */
+    std::vector<i16> cellCodes_;
+    std::size_t codeStride_ = 0;
     Adc adc_;
 };
 

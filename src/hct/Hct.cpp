@@ -112,20 +112,20 @@ Hct::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
         darth_fatal("Hct::execMvm: no vACore allocated");
 
     const Cycle analog_start = arbiter_.acquire(Mode::Analog, start);
-    const auto stream = ace_.execMvm(x, input_bits, analog_start);
+    ace_.execMvmInto(x, input_bits, analog_start, stream_);
     ++mvmCount_;
 
     const std::size_t cols = ace_.matrix().cols();
     if (!digitalEnabled_) {
         // Raw partial products only: legal when no recombination is
         // needed (single plane, single slice, single group).
-        if (stream.size() != 1)
+        if (stream_.size() != 1)
             darth_fatal("Hct::execMvm: DCE post-processing disabled "
-                        "but the stream has ", stream.size(),
+                        "but the stream has ", stream_.size(),
                         " partial products");
         MvmResult result;
-        result.values = stream[0].values;
-        result.done = stream[0].readyAt;
+        result.values = stream_[0].values;
+        result.done = stream_[0].readyAt;
         arbiter_.release(result.done);
         return result;
     }
@@ -156,6 +156,10 @@ Hct::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
     const u64 uops_per_add =
         static_cast<u64>(add_program.opCount()) *
         static_cast<u64>(acc_bits);
+    // Resolved once per MVM, like the ACE's own accumulators: the
+    // per-partial-product charge below skips the string-keyed lookup.
+    CostEntry *t_network =
+        tally_ != nullptr ? &tally_->entry("hct.network") : nullptr;
 
     // Compiled reduction (shift-unit configs): staging writes and the
     // ADD/SUB into the accumulator are evaluated element-natively —
@@ -173,7 +177,7 @@ Hct::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
         host_stage.assign(n_pipes, {});
     }
 
-    for (const auto &pp : stream) {
+    for (const auto &pp : stream_) {
         for (std::size_t p = 0; p < n_pipes; ++p) {
             const std::size_t c0 = p * width;
             if (c0 >= cols)
@@ -196,13 +200,14 @@ Hct::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
             }
             port_free[p] = write_done;
 
-            if (tally_ != nullptr) {
+            if (t_network != nullptr) {
                 const u64 bytes =
                     static_cast<u64>(n) *
                     ((static_cast<u64>(cfg_.ace.adc.bits) + 7) / 8);
-                tally_->add("hct.network", n,
-                            static_cast<double>(bytes) *
-                                cfg_.networkEnergyPerBytePJ);
+                t_network->events += 1;
+                t_network->cycles += n;
+                t_network->energy += static_cast<double>(bytes) *
+                                     cfg_.networkEnergyPerBytePJ;
             }
 
             // --- Placement: with shift units the value lands

@@ -192,6 +192,8 @@ class Hct
     bool analogEnabled_ = true;
     bool digitalEnabled_ = true;
     u64 mvmCount_ = 0;
+    /** Partial-product stream reused by every execMvm(). */
+    std::vector<analog::PartialProduct> stream_;
 };
 
 } // namespace hct
