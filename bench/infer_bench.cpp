@@ -28,14 +28,12 @@
  *  - back-to-back inferences pipeline at >= 1.5x the serialized
  *    single-inference rate for every network.
  *
- * Host-side knobs (never part of the simulated experiment): the
- * `--threads N` setting is recorded in the top-level `threads` field
- * (the single-chip forwards themselves are driven serially), and
- * every network cell carries informational `wall_ms` host wall-clock
- * and `max_rss_mb` peak-resident-set fields that bench_diff.py never
+ * Host-side fields (never part of the simulated experiment): every
+ * network cell carries informational `wall_ms` host wall-clock and
+ * `max_rss_mb` peak-resident-set fields that bench_diff.py never
  * gates on.
  *
- *   $ ./infer_bench [--smoke] [--threads N]
+ *   $ ./infer_bench [--smoke]
  */
 
 #include <chrono>
@@ -63,9 +61,6 @@ struct Check
 };
 
 std::vector<Check> g_checks;
-
-/** Recorded --threads setting (host-side only; see file header). */
-std::size_t g_threads = 1;
 
 /** Host wall-clock timer for the informational wall_ms fields. */
 struct WallTimer
@@ -328,13 +323,7 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--smoke") == 0)
             smoke = true;
-        else if (std::strcmp(argv[i], "--threads") == 0 &&
-                 i + 1 < argc)
-            g_threads = static_cast<std::size_t>(
-                std::strtoul(argv[++i], nullptr, 10));
     }
-    if (g_threads == 0)
-        g_threads = 1;
 
     const std::size_t resnet_batch = smoke ? 2 : 4;
     const std::size_t encoder_batch = smoke ? 4 : 8;
@@ -343,7 +332,6 @@ main(int argc, char **argv)
     std::printf("{\n");
     std::printf("  \"bench\": \"infer_bench\",\n");
     std::printf("  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
-    std::printf("  \"threads\": %zu,\n", g_threads);
     std::printf("  \"networks\": [\n");
     runTinyCnn(tiny_batch, false);
     runEncoder(encoder_batch, false);

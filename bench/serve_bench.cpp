@@ -119,14 +119,12 @@
  * acceptance criteria. `--smoke` shrinks horizons and the sweep, not
  * the checks.
  *
- * Host-side knobs (never part of the simulated experiment):
- * `--threads N` runs each cell's per-chip simulation on N worker
- * threads (results are bit-identical to --threads 1 by construction;
- * the `threads` config field records the setting), and every cell
- * carries informational `wall_ms` host wall-clock and `max_rss_mb`
- * peak-resident-set fields that bench_diff.py never gates on.
+ * Host-side fields (never part of the simulated experiment): every
+ * cell carries informational `wall_ms` host wall-clock and
+ * `max_rss_mb` peak-resident-set fields that bench_diff.py never
+ * gates on.
  *
- *   $ ./serve_bench [--smoke] [--stress] [--threads N]
+ *   $ ./serve_bench [--smoke] [--stress]
  *   $ ./serve_bench million [--smoke]
  */
 
@@ -161,10 +159,6 @@ namespace
 
 using namespace darth;
 using namespace darth::serve;
-
-/** Worker threads per admission run (--threads). Host-side only:
- *  simulated results are bit-identical across any setting. */
-std::size_t g_threads = 1;
 
 /** Host wall-clock timer for the informational wall_ms fields. */
 struct WallTimer
@@ -366,7 +360,6 @@ runScalingCell(std::size_t chips, std::size_t tenant_count,
     // and the run measures delivered capacity, not drop dynamics.
     cfg.overflow = OverflowPolicy::Block;
     cfg.qos = QosPolicy::RoundRobin;
-    cfg.threads = g_threads;
     AdmissionController ac(pool, tenants, cfg);
     const ServeReport report = ac.run(gen.trace(specs, horizon));
 
@@ -429,7 +422,6 @@ runQosSweep(Cycle horizon)
         cfg.queueDepth = 2;
         cfg.qos = qos;
         cfg.overflow = OverflowPolicy::Block;
-        cfg.threads = g_threads;
         AdmissionController ac(pool, tenants, cfg);
         const ServeReport report = ac.run(gen.trace(specs, horizon));
 
@@ -481,7 +473,6 @@ runBackpressureSweep(Cycle horizon)
         // The aggregate p95 below pools every raw sample across
         // tenants, which needs the retained vectors.
         cfg.retainSamples = true;
-        cfg.threads = g_threads;
         AdmissionController ac(pool, tenants, cfg);
         const ServeReport report = ac.run(gen.trace(specs, horizon));
 
@@ -546,7 +537,6 @@ runInferenceSweep(Cycle horizon)
     cfg.queueDepth = 2;
     cfg.qos = QosPolicy::WeightedFair;
     cfg.overflow = OverflowPolicy::Block;
-    cfg.threads = g_threads;
     AdmissionController ac(pool, tenants, cfg);
     const ServeReport report = ac.run(gen.trace(specs, horizon));
 
@@ -652,7 +642,6 @@ runHeteroCell(const char *pool_name,
             std::max<std::size_t>(1, pool.chip(c).numHcts() / 2);
     cfg.qos = QosPolicy::RoundRobin;
     cfg.overflow = OverflowPolicy::Block;
-    cfg.threads = g_threads;
     AdmissionController ac(pool, tenants, cfg);
     const ServeReport report = ac.run(gen.trace(specs, horizon));
 
@@ -750,7 +739,6 @@ runStageLevelCell(Granularity granularity, Cycle horizon,
     cfg.granularity = granularity;
     // The aggregate p95 below pools raw samples across tenants.
     cfg.retainSamples = true;
-    cfg.threads = g_threads;
     AdmissionController ac(pool, tenants, cfg);
     const ServeReport report = ac.run(gen.trace(specs, horizon));
 
@@ -827,7 +815,6 @@ runJournalCell(Cycle horizon)
     setup.admission.qos = QosPolicy::WeightedFair;
     setup.admission.overflow = OverflowPolicy::Block;
     setup.admission.granularity = Granularity::Stage;
-    setup.admission.threads = g_threads;
 
     setup.tenants = stageLevelSpecs();
     // SLO targets: a plausible one, an impossible one (every
@@ -978,7 +965,6 @@ runFleetCell(std::size_t sar_chips, std::size_t ramp_chips,
     setup.admission.qos = QosPolicy::WeightedFair;
     setup.admission.overflow = OverflowPolicy::Block;
     setup.admission.granularity = Granularity::Stage;
-    setup.admission.threads = g_threads;
     setup.tenants = fleetSpecs(horizon);
     setup.fleet = true;
     setup.fleetCfg.checkIntervalNs = 500;
@@ -1294,13 +1280,7 @@ main(int argc, char **argv)
             stress = true;
         else if (std::strcmp(argv[i], "million") == 0)
             million = true;
-        else if (std::strcmp(argv[i], "--threads") == 0 &&
-                 i + 1 < argc)
-            g_threads = static_cast<std::size_t>(
-                std::strtoul(argv[++i], nullptr, 10));
     }
-    if (g_threads == 0)
-        g_threads = 1;
 
     // `serve_bench million` runs experiment 9 standalone: it is a
     // scale test, never part of the default sweep or the checked-in
@@ -1322,7 +1302,6 @@ main(int argc, char **argv)
     std::printf("{\n");
     std::printf("  \"bench\": \"serve_bench\",\n");
     std::printf("  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
-    std::printf("  \"threads\": %zu,\n", g_threads);
     std::printf("  \"chip\": {\"hcts_per_chip\": %zu, "
                 "\"service_cycles\": {\"aes\": %llu, \"cnn\": %llu, "
                 "\"llm\": %llu}},\n",

@@ -3,23 +3,20 @@
  * Clang thread-safety annotations and a zero-cost capability for
  * documenting lock discipline *before* the code goes multi-threaded.
  *
- * The runtime and serving layers are single-threaded today, but the
- * ROADMAP's per-chip worker threads will contend on the scheduler
- * queues, the placement registry, and the pool's placement tables.
- * These macros let that state carry its ownership contract now:
- * members are GUARDED_BY a SeqMutex, private helpers that assume the
- * guard is held say REQUIRES, and public entry points take a SeqLock.
- * Under clang, -Wthread-safety (enabled on the runtime/serve targets
- * by the build) statically proves every guarded access happens under
- * its guard; under GCC the attributes compile to nothing.
+ * The simulator is single-threaded: every serving run is one
+ * sequential event loop. Shared state still carries its ownership
+ * contract — the scheduler queues, the placement registry, the
+ * pool's placement tables, and the process-wide cost and kernel
+ * caches: members are GUARDED_BY a SeqMutex, private helpers that
+ * assume the guard is held say REQUIRES, and public entry points
+ * take a SeqLock. Under clang, -Wthread-safety (enabled on the
+ * runtime/serve targets by the build) statically proves every
+ * guarded access happens under its guard; under GCC the attributes
+ * compile to nothing.
  *
- * SeqMutex started life as a no-op — the *annotation* of a mutex —
- * while the tree was single-threaded. The per-chip worker threads
- * (common/WorkerPool.h, AdmissionConfig::threads) made it real: it
- * now wraps a std::mutex, and every annotated class became
- * thread-safe without touching a single annotation, because clang's
- * -Wthread-safety had already enforced the guarded-access
- * discipline the real lock relies on.
+ * SeqMutex wraps a real std::mutex, so an annotated object stays
+ * safe if a caller does share it across threads (the TSan CI leg
+ * runs the whole suite under the race detector).
  *
  * Macro names follow the clang/abseil convention
  * (https://clang.llvm.org/docs/ThreadSafetyAnalysis.html).
@@ -81,10 +78,9 @@ namespace darth
  *
  * A real std::mutex wearing the capability annotations: clang's
  * -Wthread-safety statically proves the guarded-access discipline,
- * and the lock enforces it at runtime under the per-chip worker
- * threads. Uncontended on the serial path (worker threads hold
- * chip-disjoint state; the pool lock covers only short lookups), so
- * the cost over the historical no-op is a single atomic each way.
+ * and the lock enforces it at runtime should a caller share an
+ * object across threads. Always uncontended in the single-threaded
+ * simulator, so it costs a single atomic each way.
  */
 class CAPABILITY("mutex") SeqMutex
 {

@@ -1,6 +1,8 @@
 #include "journal/Journal.h"
 
+#include <algorithm>
 #include <fstream>
+#include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -24,6 +26,23 @@ constexpr char kMagic[8] = {'D', 'A', 'R', 'T', 'H', 'J', 'N', 'L'};
 constexpr u64 kMaxNoteBytes = u64{1} << 20;
 constexpr u64 kMaxValueWords = u64{1} << 28;
 
+/** Record bodies are read in chunks of this many bytes, so a
+ *  corrupt length field costs what actually arrives, not what it
+ *  claims. */
+constexpr std::size_t kRecordReadChunk = std::size_t{1} << 16;
+
+std::string
+hexU64(u64 v)
+{
+    static const char hex[] = "0123456789abcdef";
+    std::string out = "0x";
+    for (int shift = 60; shift >= 0; shift -= 4)
+        out.push_back(hex[(v >> shift) & 0xf]);
+    return out;
+}
+
+} // namespace
+
 void
 appendLeU32(std::vector<unsigned char> &buf, u32 v)
 {
@@ -38,7 +57,31 @@ appendLeU64(std::vector<unsigned char> &buf, u64 v)
         buf.push_back(static_cast<unsigned char>((v >> shift) & 0xff));
 }
 
-} // namespace
+u32
+readLeU32(std::istream &in, const std::string &what)
+{
+    unsigned char bytes[4];
+    if (!in.read(reinterpret_cast<char *>(bytes), sizeof(bytes)))
+        throw std::runtime_error("journal: truncated while reading " +
+                                 what);
+    u32 v = 0;
+    for (int i = 0; i < 4; ++i)
+        v |= static_cast<u32>(bytes[i]) << (8 * i);
+    return v;
+}
+
+u64
+readLeU64(std::istream &in, const std::string &what)
+{
+    unsigned char bytes[8];
+    if (!in.read(reinterpret_cast<char *>(bytes), sizeof(bytes)))
+        throw std::runtime_error("journal: truncated while reading " +
+                                 what);
+    u64 v = 0;
+    for (int i = 0; i < 8; ++i)
+        v |= static_cast<u64>(bytes[i]) << (8 * i);
+    return v;
+}
 
 /**
  * Canonical little-endian encoding of one record — the bytes the
@@ -107,7 +150,7 @@ decodeEventBytes(const std::vector<unsigned char> &rec,
                   noteLen);
     pos += noteLen;
     const u32 valueCount = takeU32();
-    if (valueCount > kMaxValueWords)
+    if (valueCount > kMaxValueWords || valueCount > (rec.size() - pos) / 8)
         throw std::runtime_error("journal: malformed " + what);
     e.values.reserve(valueCount);
     for (u32 v = 0; v < valueCount; ++v)
@@ -116,6 +159,40 @@ decodeEventBytes(const std::vector<unsigned char> &rec,
         throw std::runtime_error("journal: " + what +
                                  " has trailing bytes");
     return e;
+}
+
+bool
+readRecord(std::istream &in, u64 &chain, const std::string &where,
+           JournalEvent &out)
+{
+    unsigned char lenBytes[4];
+    in.read(reinterpret_cast<char *>(lenBytes), sizeof(lenBytes));
+    if (in.gcount() == 0 && in.eof())
+        return false;
+    if (in.gcount() != sizeof(lenBytes))
+        throw std::runtime_error("journal: truncated " + where);
+    u32 recLen = 0;
+    for (int i = 0; i < 4; ++i)
+        recLen |= static_cast<u32>(lenBytes[i]) << (8 * i);
+    std::vector<unsigned char> rec;
+    while (rec.size() < recLen) {
+        const std::size_t have = rec.size();
+        const std::size_t want =
+            std::min<std::size_t>(kRecordReadChunk, recLen - have);
+        rec.resize(have + want);
+        if (!in.read(reinterpret_cast<char *>(rec.data() + have),
+                     static_cast<std::streamsize>(want)))
+            throw std::runtime_error("journal: truncated " + where);
+    }
+    const u64 stored = readLeU64(in, where + " checksum");
+    const u64 computed = fnv1aBytes(rec.data(), rec.size(), chain);
+    if (computed != stored)
+        throw std::runtime_error(
+            "journal: corrupt " + where + " (checksum mismatch, stored " +
+            hexU64(stored) + " computed " + hexU64(computed) + ")");
+    out = decodeEventBytes(rec, where);
+    chain = stored;
+    return true;
 }
 
 /**
@@ -135,32 +212,6 @@ journalChainBasis()
 
 namespace
 {
-
-u64
-readLeU64(std::istream &in, const char *what)
-{
-    unsigned char bytes[8];
-    if (!in.read(reinterpret_cast<char *>(bytes), sizeof(bytes)))
-        throw std::runtime_error(
-            std::string("journal: truncated while reading ") + what);
-    u64 v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<u64>(bytes[i]) << (8 * i);
-    return v;
-}
-
-u32
-readLeU32(std::istream &in, const char *what)
-{
-    unsigned char bytes[4];
-    if (!in.read(reinterpret_cast<char *>(bytes), sizeof(bytes)))
-        throw std::runtime_error(
-            std::string("journal: truncated while reading ") + what);
-    u32 v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<u32>(bytes[i]) << (8 * i);
-    return v;
-}
 
 /** Minimal JSON string escaping for event notes. */
 std::string
@@ -182,16 +233,6 @@ jsonEscape(const std::string &s)
             out.push_back(ch);
         }
     }
-    return out;
-}
-
-std::string
-hexU64(u64 v)
-{
-    static const char hex[] = "0123456789abcdef";
-    std::string out = "0x";
-    for (int shift = 60; shift >= 0; shift -= 4)
-        out.push_back(hex[(v >> shift) & 0xf]);
     return out;
 }
 
@@ -383,26 +424,14 @@ Journal::readBinary(std::istream &in)
 
     Journal out;
     u64 chain = journalChainBasis();
+    JournalEvent e;
     for (u64 i = 0; i < count; ++i) {
-        const u32 recLen = readLeU32(in, "record length");
-        std::vector<unsigned char> rec(recLen);
-        if (recLen > 0 &&
-            !in.read(reinterpret_cast<char *>(rec.data()), recLen))
-            throw std::runtime_error(
-                "journal: truncated record " + std::to_string(i));
-        const u64 stored = readLeU64(in, "record checksum");
-        chain = fnv1aBytes(rec.data(), rec.size(), chain);
-        if (chain != stored)
-            throw std::runtime_error(
-                "journal: corrupt record " + std::to_string(i) +
-                " (checksum mismatch, stored " + hexU64(stored) +
-                " computed " + hexU64(chain) + ")");
-
-        // Decode the verified canonical bytes.
-        out.append(
-            decodeEventBytes(rec, "record " + std::to_string(i)));
+        const std::string where = "record " + std::to_string(i);
+        if (!readRecord(in, chain, where, e))
+            throw std::runtime_error("journal: truncated " + where);
         // append() re-derives the same chain from the same bytes, so
         // the in-memory chain equals the verified on-disk chain.
+        out.append(std::move(e));
     }
     return out;
 }

@@ -189,6 +189,27 @@ std::vector<unsigned char> encodeEventBytes(const JournalEvent &e);
 JournalEvent decodeEventBytes(const std::vector<unsigned char> &rec,
                               const std::string &what);
 
+/** Little-endian field codec shared by the monolithic and segmented
+ *  formats; the readers throw std::runtime_error naming `what` on a
+ *  short read. */
+void appendLeU32(std::vector<unsigned char> &buf, u32 v);
+void appendLeU64(std::vector<unsigned char> &buf, u64 v);
+u32 readLeU32(std::istream &in, const std::string &what);
+u64 readLeU64(std::istream &in, const std::string &what);
+
+/**
+ * Read one framed record (u32 length, canonical bytes, u64 chained
+ * checksum) — the one record reader of every binary format. Verifies
+ * the record continues `chain`, advances it, and decodes into `out`.
+ * Returns false on a clean end of stream before the length field;
+ * a short read, checksum mismatch, or malformed bytes throws
+ * std::runtime_error naming `where`. The body is read in 64 KiB
+ * chunks, so a corrupt length field allocates only about what
+ * actually arrives, never the up-to-4 GiB it claims.
+ */
+bool readRecord(std::istream &in, u64 &chain, const std::string &where,
+                JournalEvent &out);
+
 /** Checksum seed of record 0: FNV-1a over the fixed format prefix
  *  (magic + version) — the chain basis shared by the monolithic
  *  binary format and the segmented one (journal/Segment.h). */

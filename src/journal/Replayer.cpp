@@ -68,7 +68,7 @@ slotSpec(const PoolSlotSetup &slot)
 
 /** Emit the self-describing header: RunBegin, one PoolChip per
  *  slot, AdmissionSetup, one TenantSetup per tenant, FleetSetup when
- *  fleet-driven. Shared by the vector and streaming drive paths. */
+ *  fleet-driven. */
 void
 emitHeaderRecords(const ServeRunSetup &setup,
                   const serve::ChipPool &pool, Journal &jr)
@@ -168,13 +168,18 @@ emitHeaderRecords(const ServeRunSetup &setup,
 
 /**
  * Drive setup's scenario once with `jr` attached, in the canonical
- * record order both recordServeRun and Replayer::replay produce:
- * header records (emitHeaderRecords), then the Placement records
- * buildTenants emits, TraceBegin, and the run itself.
+ * record order every recording and replay produces: header records
+ * (emitHeaderRecords), then the Placement records buildTenants
+ * emits, TraceBegin announcing `traceBeginCount` requests (the trace
+ * length, or kStreamedTraceCount for a streamed run —
+ * replaySegments passes the recorded announcement through so the
+ * replayed record stays byte-identical), and the run itself:
+ * `runOn(controller)`, i.e. AdmissionController::run or runStream.
  */
+template <typename RunOn>
 serve::ServeReport
-driveRun(const ServeRunSetup &setup,
-         const std::vector<serve::ServeRequest> &trace, Journal &jr)
+driveRun(const ServeRunSetup &setup, Journal &jr, u64 traceBeginCount,
+         RunOn &&runOn)
 {
     serve::ChipPool pool(setup.poolConfig());
     emitHeaderRecords(setup, pool, jr);
@@ -200,54 +205,12 @@ driveRun(const ServeRunSetup &setup,
     {
         JournalEvent e;
         e.kind = EventKind::TraceBegin;
-        e.a = trace.size();
-        jr.append(std::move(e));
-    }
-
-    ctrl->setJournal(&jr);
-    serve::ServeReport report = ctrl->run(trace);
-    ctrl->setJournal(nullptr);
-    pool.setJournal(nullptr);
-    return report;
-}
-
-/** driveRun's streaming twin: same record order, but the run pulls
- *  from `source` through AdmissionController::runStream.
- *  `traceBeginCount` is normally kStreamedTraceCount;
- *  replaySegments passes the recorded announcement through so the
- *  replayed TraceBegin record stays byte-identical. */
-serve::ServeReport
-driveRunStream(const ServeRunSetup &setup,
-               serve::RequestSource &source, Journal &jr,
-               u64 traceBeginCount)
-{
-    serve::ChipPool pool(setup.poolConfig());
-    emitHeaderRecords(setup, pool, jr);
-
-    pool.setJournal(&jr);
-    serve::TrafficGen gen(setup.trafficSeed);
-    std::unique_ptr<serve::FleetController> fleet;
-    std::unique_ptr<serve::AdmissionController> ctrl;
-    if (setup.fleet) {
-        fleet = std::make_unique<serve::FleetController>(
-            pool, gen, setup.tenants, setup.fleetCfg);
-        ctrl = std::make_unique<serve::AdmissionController>(
-            pool, *fleet, setup.admission);
-    } else {
-        ctrl = std::make_unique<serve::AdmissionController>(
-            pool, serve::buildTenants(pool, gen, setup.tenants),
-            setup.admission);
-    }
-
-    {
-        JournalEvent e;
-        e.kind = EventKind::TraceBegin;
         e.a = traceBeginCount;
         jr.append(std::move(e));
     }
 
     ctrl->setJournal(&jr);
-    serve::ServeReport report = ctrl->runStream(source);
+    serve::ServeReport report = runOn(*ctrl);
     ctrl->setJournal(nullptr);
     pool.setJournal(nullptr);
     return report;
@@ -474,7 +437,10 @@ recordServeRun(const ServeRunSetup &setup,
 {
     ServeRunRecord rec;
     rec.trace = trace;
-    rec.report = driveRun(setup, trace, rec.journal);
+    rec.report = driveRun(setup, rec.journal, trace.size(),
+                          [&trace](serve::AdmissionController &ctrl) {
+                              return ctrl.run(trace);
+                          });
     return rec;
 }
 
@@ -539,11 +505,17 @@ Replayer::replay() const
         // here by construction; replaySegments() is the compacted
         // comparison.)
         serve::VectorSource source(trace_);
-        result.report = driveRunStream(setup_, source,
-                                       result.journal,
-                                       kStreamedTraceCount);
+        result.report =
+            driveRun(setup_, result.journal, kStreamedTraceCount,
+                     [&source](serve::AdmissionController &ctrl) {
+                         return ctrl.runStream(source);
+                     });
     } else {
-        result.report = driveRun(setup_, trace_, result.journal);
+        result.report =
+            driveRun(setup_, result.journal, trace_.size(),
+                     [this](serve::AdmissionController &ctrl) {
+                         return ctrl.run(trace_);
+                     });
     }
 
     const std::vector<JournalEvent> &want = recorded_.events();
@@ -584,7 +556,10 @@ recordServeRunStream(const ServeRunSetup &setup,
     if (!jr.empty())
         throw std::invalid_argument(
             "recordServeRunStream: journal must be empty");
-    return driveRunStream(setup, source, jr, kStreamedTraceCount);
+    return driveRun(setup, jr, kStreamedTraceCount,
+                    [&source](serve::AdmissionController &ctrl) {
+                        return ctrl.runStream(source);
+                    });
 }
 
 namespace
@@ -713,7 +688,11 @@ replaySegments(const std::string &dir)
     live.attachSink(&tee, /*retainEvents=*/false);
 
     SegmentReplayResult result;
-    result.report = driveRunStream(setup, source, live, announced);
+    result.report =
+        driveRun(setup, live, announced,
+                 [&source](serve::AdmissionController &ctrl) {
+                     return ctrl.runStream(source);
+                 });
     compactor.finish();
 
     // The source drained the reader to end of stream, so its chain

@@ -1,9 +1,8 @@
 #include "journal/Segment.h"
 
+#include <cstring>
 #include <filesystem>
 #include <stdexcept>
-
-#include "common/Fnv.h"
 
 namespace darth
 {
@@ -16,50 +15,6 @@ namespace
 /** Segment file magic ("DARTHSGJ"). */
 constexpr char kSegmentMagic[8] = {'D', 'A', 'R', 'T', 'H',
                                    'S', 'G', 'J'};
-
-/** Parse-time allocation guard (the chain would flag a corrupt
- *  length anyway, but only after the allocation). */
-constexpr u64 kMaxRecordBytes = u64{1} << 30;
-
-void
-appendLeU32(std::vector<unsigned char> &buf, u32 v)
-{
-    for (int shift = 0; shift < 32; shift += 8)
-        buf.push_back(static_cast<unsigned char>((v >> shift) & 0xff));
-}
-
-void
-appendLeU64(std::vector<unsigned char> &buf, u64 v)
-{
-    for (int shift = 0; shift < 64; shift += 8)
-        buf.push_back(static_cast<unsigned char>((v >> shift) & 0xff));
-}
-
-u32
-readLeU32(std::istream &in, const std::string &what)
-{
-    unsigned char bytes[4];
-    if (!in.read(reinterpret_cast<char *>(bytes), sizeof(bytes)))
-        throw std::runtime_error(
-            "journal: truncated while reading " + what);
-    u32 v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<u32>(bytes[i]) << (8 * i);
-    return v;
-}
-
-u64
-readLeU64(std::istream &in, const std::string &what)
-{
-    unsigned char bytes[8];
-    if (!in.read(reinterpret_cast<char *>(bytes), sizeof(bytes)))
-        throw std::runtime_error(
-            "journal: truncated while reading " + what);
-    u64 v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<u64>(bytes[i]) << (8 * i);
-    return v;
-}
 
 } // namespace
 
@@ -236,48 +191,20 @@ SegmentReader::openSegment(std::size_t index)
 bool
 SegmentReader::next(JournalEvent &out)
 {
-    for (;;) {
-        if (!open_)
-            return false;
-        unsigned char lenBytes[4];
-        in_.read(reinterpret_cast<char *>(lenBytes),
-                 sizeof(lenBytes));
-        if (in_.gcount() == 0 && in_.eof()) {
-            // Clean end of this segment; continue into the next
-            // file if one exists.
-            open_ = false;
-            if (!openSegment(segmentIndex_))
-                return false;
-            continue;
-        }
+    while (open_) {
         const std::string where =
             "segment " + std::to_string(segmentIndex_ - 1) +
             " record " + std::to_string(recordIndex_);
-        if (in_.gcount() != sizeof(lenBytes))
-            throw std::runtime_error("journal: truncated " + where);
-        u32 recLen = 0;
-        for (int i = 0; i < 4; ++i)
-            recLen |= static_cast<u32>(lenBytes[i]) << (8 * i);
-        if (recLen > kMaxRecordBytes)
-            throw std::runtime_error(
-                "journal: " + where + " has absurd record length " +
-                std::to_string(recLen));
-        std::vector<unsigned char> rec(recLen);
-        if (recLen > 0 &&
-            !in_.read(reinterpret_cast<char *>(rec.data()), recLen))
-            throw std::runtime_error("journal: truncated " + where);
-        const u64 stored = readLeU64(in_, where + " checksum");
-        const u64 computed = fnv1aBytes(rec.data(), rec.size(), chain_);
-        if (computed != stored)
-            throw std::runtime_error(
-                "journal: corrupt " + where +
-                " (checksum mismatch in segment " +
-                std::to_string(segmentIndex_ - 1) + ")");
-        out = decodeEventBytes(rec, where);
-        chain_ = stored;
-        ++recordIndex_;
-        return true;
+        if (readRecord(in_, chain_, where, out)) {
+            ++recordIndex_;
+            return true;
+        }
+        // Clean end of this segment; continue into the next file if
+        // one exists.
+        open_ = false;
+        openSegment(segmentIndex_);
     }
+    return false;
 }
 
 Journal

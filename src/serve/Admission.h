@@ -64,9 +64,12 @@
  * Each request binds to its tenant's placement *at arrival*, and a
  * replaced placement is released only when its bound requests have
  * drained, so begun work always finishes where it began and no
- * accepted inference is ever lost. The fleet path runs the merged
- * request/lifecycle timeline sequentially (AdmissionConfig::threads
- * is inert there); static runs keep the parallel per-chip drains.
+ * accepted inference is ever lost.
+ *
+ * Every run is one sequential event loop over a RequestSource:
+ * run() drives a VectorSource over its trace, runStream() the
+ * caller's source. Static and fleet runs differ only in where a
+ * pulled request binds and whether lifecycle moments run first.
  *
  * Everything is deterministic: one trace, one config, one report —
  * and under Block (where every request completes) the functional
@@ -164,9 +167,9 @@ struct AdmissionConfig
     OverflowPolicy overflow = OverflowPolicy::Block;
     /** Admission unit for inference tenants (see Granularity). */
     Granularity granularity = Granularity::Inference;
-    /** Keep every request's output vector in the report. Vector-mode
-     *  run() only: runStream() folds outputs into the rolling
-     *  checksum and drops them (collectOutputs there throws). */
+    /** Keep every request's output vector in the report. run()
+     *  only: runStream() folds outputs into the rolling checksum and
+     *  drops them (collectOutputs there throws). */
     bool collectOutputs = false;
     /**
      * Retain the per-request latency/queueing/service/doneNs sample
@@ -174,22 +177,10 @@ struct AdmissionConfig
      * the streaming histograms and exact aggregates
      * (TenantStats::latencyHist etc.) are always filled and are the
      * O(1)-memory report surface; tests that assert on raw samples
-     * opt back in. Host-only knob — like `threads`, deliberately
-     * NOT recorded in the journal (it changes no event and no exact
-     * quantity).
+     * opt back in. Host-only knob — deliberately NOT recorded in
+     * the journal (it changes no event and no exact quantity).
      */
     bool retainSamples = false;
-    /**
-     * Host worker threads for the per-chip drains (<= 1 runs them
-     * inline). Chips are isolated Runtime instances and the trace
-     * partitions perfectly by chip (each tenant is placed on exactly
-     * one chip), so run() forks one job per chip and merges at the
-     * join deterministically: the report and the journal are
-     * bit-identical for every thread count. Host-only knob — it is
-     * deliberately NOT recorded in the journal's AdmissionSetup
-     * record, so replays of a parallel run stay bit-identical.
-     */
-    std::size_t threads = 1;
 };
 
 /** One admitted tenant of the serving cluster. */
@@ -219,15 +210,10 @@ std::vector<Tenant> buildTenants(ChipPool &pool, const TrafficGen &gen,
 /**
  * Serving front end: admission, backpressure, and QoS.
  *
- * The tenant table and config are GUARDED_BY(mu_); run() holds the
- * guard for the whole trace (its windows, waiting rooms, and fair
- * tags are stack-local, so the admission front end is one critical
- * section per run). With AdmissionConfig::threads > 1 the per-chip
- * work — admission decisions *and* drains, which partition perfectly
- * by chip — runs on WorkerPool jobs under that critical section;
- * journal events buffer per chip and merge in trace order at the
- * join, so every thread count produces one bit-identical report and
- * journal.
+ * The tenant table and config are GUARDED_BY(mu_); run() and
+ * runStream() hold the guard for the whole run (its windows, waiting
+ * rooms, and fair tags are per-run state, so the admission front end
+ * is one critical section per run).
  */
 class AdmissionController
 {
@@ -246,9 +232,7 @@ class AdmissionController
      * placed eagerly, future ones lazily), and run() interleaves
      * the fleet's lifecycle timeline (arrivals, departures,
      * controller ticks) with the trace. The fleet must drive the
-     * same pool and must outlive the controller. Fleet runs are
-     * sequential: AdmissionConfig::threads is accepted but inert,
-     * and the report is bit-identical for every value.
+     * same pool and must outlive the controller.
      */
     AdmissionController(ChipPool &pool, FleetController &fleet,
                         const AdmissionConfig &cfg);
@@ -265,10 +249,13 @@ class AdmissionController
     }
 
     /**
-     * Run one open-loop trace to completion and report. The trace
-     * must be sorted by wall-clock arrival (TrafficGen::trace emits
-     * it sorted); requests of unknown tenants, or of a fleet tenant
-     * before its placement exists, are fatal.
+     * Run one open-loop trace to completion and report: the trace
+     * streams through the same loop as runStream() (a VectorSource),
+     * so the two produce identical reports and journals for the
+     * same requests. The trace must be sorted by wall-clock arrival
+     * (TrafficGen::trace emits it sorted); a request of an unknown
+     * tenant, out of arrival order, or of a fleet tenant before its
+     * placement exists throws std::runtime_error when it is pulled.
      */
     ServeReport run(const std::vector<ServeRequest> &trace)
         EXCLUDES(mu_);
@@ -278,17 +265,16 @@ class AdmissionController
      * requests are consumed one at a time from `source` (sorted by
      * arrival, like run()'s trace), held only while in flight, and
      * their outputs folded into ServeReport::outputChecksum in
-     * arrival order as they resolve — the checksum equals the one a
-     * materialized run() of the same stream reports. Streaming runs
-     * are sequential (AdmissionConfig::threads is inert, as in fleet
-     * mode) and journal events append directly in the same merged
-     * order run() produces; when the live window exceeds an internal
-     * bound, completed-but-unobserved requests are drained eagerly
-     * (this can only reorder journal records relative to run() on
-     * runs of more than 65536 concurrently-live requests, and the
-     * reordering is itself deterministic — Replayer::replaySegments
-     * replays through this same path). collectOutputs is
-     * incompatible with streaming and throws std::invalid_argument.
+     * arrival order as they resolve; journal records append in
+     * program order. When more than 65536 pulled requests are
+     * unresolved, completed-but-unobserved ones are materialized
+     * eagerly. That can reorder journal records relative to the
+     * lazy order, but only on runs of more than 65536 requests —
+     * run() shares the bound, so no trace of at most 65536 requests
+     * is affected — and the reordering is itself deterministic
+     * (Replayer::replaySegments replays through this same loop).
+     * collectOutputs needs O(requests) memory and throws
+     * std::invalid_argument here.
      */
     ServeReport runStream(RequestSource &source) EXCLUDES(mu_);
 
@@ -303,14 +289,11 @@ class AdmissionController
     void setJournal(journal::Journal *journal) EXCLUDES(mu_);
 
   private:
-    /** Shared engine behind run() and runStream(): exactly one of
-     *  `trace` / `source` is non-null. */
-    ServeReport runImpl(const std::vector<ServeRequest> *trace,
-                        RequestSource *source) REQUIRES(mu_);
+    /** The one serving loop behind run() and runStream(). */
+    ServeReport serve(RequestSource &source) REQUIRES(mu_);
 
     /** Guards the tenant table and config
-     *  (common/ThreadAnnotations.h; a real mutex since the per-chip
-     *  worker threads landed). */
+     *  (common/ThreadAnnotations.h). */
     mutable SeqMutex mu_;
 
     ChipPool &pool_;

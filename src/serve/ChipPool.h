@@ -222,9 +222,9 @@ struct StagedInference
  * issued before serving starts; the run-time entry points (submit,
  * wait, beginInference, the model metadata lookups) take mu_ only
  * long enough to resolve the ModelRef, then drive the owning chip's
- * session *outside* the lock — safe because exactly one admission
- * worker drives each chip (common/WorkerPool.h) and the model table
- * is stable once serving begins. Chips, runtimes, sessions, and the
+ * session *outside* the lock — safe because one admission loop
+ * drives every chip and the model table is stable once serving
+ * begins. Chips, runtimes, sessions, and the
  * per-chip mappers are constructed once and the containers never
  * change afterwards; the objects behind them guard themselves.
  */
@@ -570,13 +570,13 @@ class ChipPool
 
     /**
      * Resolve a placed model holding mu_ only for the table lookup,
-     * so per-chip workers resolving models on different chips do not
-     * serialize on the pool lock. The returned reference stays valid
-     * because placement (the only thing that grows models_ and can
-     * reallocate it) completes before run-time lookups begin; each
-     * entry is immutable after its placement call returns. Whatever
-     * the caller then does on the owning chip is guarded by the
-     * one-worker-per-chip discipline, not by mu_.
+     * so the chip work that follows runs outside the pool lock. The
+     * returned reference stays valid because placement (the only
+     * thing that grows models_ and can reallocate it) completes
+     * before run-time lookups begin; each entry is immutable after
+     * its placement call returns. Whatever
+     * the caller then does on the owning chip is serialized by the
+     * single admission loop, not by mu_.
      */
     const Model &lookupModel(ModelRef model, const char *what) const
         EXCLUDES(mu_);

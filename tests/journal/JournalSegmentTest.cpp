@@ -18,6 +18,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include "journal/Journal.h"
 #include "journal/Replayer.h"
@@ -165,6 +166,55 @@ TEST(JournalSegment, MidSegmentCorruptionNamesTheSegment)
         EXPECT_NE(std::string(err.what()).find("segment 1"),
                   std::string::npos)
             << "error does not localize the segment: " << err.what();
+    }
+}
+
+/** Peak resident set of this process so far, in KiB. */
+long
+peakRssKb()
+{
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_maxrss;
+}
+
+TEST(JournalSegment, CorruptLengthFieldAllocatesOnlyWhatArrives)
+{
+    for (const u32 len : {0xFFFFFFF0u, 0x3FFFFFF0u}) {
+        const std::string dir =
+            scratchDir("length_" + std::to_string(len));
+        {
+            SegmentWriter writer(dir);
+            Journal jr;
+            jr.attachSink(&writer, /*retainEvents=*/false);
+            for (u64 i = 0; i < 4; ++i) {
+                JournalEvent e;
+                e.kind = EventKind::Arrival;
+                e.cycle = 10 * i;
+                e.a = i;
+                e.values = {static_cast<i64>(i), 7};
+                jr.append(std::move(e));
+            }
+            writer.finish();
+        }
+        // The first record's u32 length field follows the 40-byte
+        // segment header (magic, version, reserved, index, base,
+        // carry).
+        std::fstream f(segmentFileName(dir, 0),
+                       std::ios::in | std::ios::out | std::ios::binary);
+        ASSERT_TRUE(f.is_open());
+        char bytes[4];
+        for (int k = 0; k < 4; ++k)
+            bytes[k] = static_cast<char>((len >> (8 * k)) & 0xff);
+        f.seekp(40);
+        f.write(bytes, sizeof(bytes));
+        f.close();
+
+        const long before = peakRssKb();
+        EXPECT_THROW(readSegmentedJournal(dir), std::runtime_error)
+            << "length " << len;
+        EXPECT_LT(peakRssKb() - before, 64 * 1024)
+            << "length " << len << " grew peak RSS past 64 MiB";
     }
 }
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include "journal/Journal.h"
 
@@ -168,6 +169,37 @@ TEST(JournalTest, ErrorNamesTheFirstCorruptRecord)
                   std::string::npos)
             << "error does not name the corrupt record: "
             << err.what();
+    }
+}
+
+/** Peak resident set of this process so far, in KiB. */
+long
+peakRssKb()
+{
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_maxrss;
+}
+
+TEST(JournalTest, CorruptLengthFieldAllocatesOnlyWhatArrives)
+{
+    const Journal jr = sampleJournal(3);
+    std::stringstream out;
+    jr.writeBinary(out);
+    // The first record's u32 length field follows the 24-byte file
+    // header (magic, version, reserved, record count). A corrupt
+    // length must fail as a truncated record without reserving the
+    // bytes it claims.
+    for (const u32 len : {0xFFFFFFF0u, 0x3FFFFFF0u}) {
+        std::string bad = out.str();
+        for (int k = 0; k < 4; ++k)
+            bad[24 + k] = static_cast<char>((len >> (8 * k)) & 0xff);
+        std::stringstream in(bad);
+        const long before = peakRssKb();
+        EXPECT_THROW(Journal::readBinary(in), std::runtime_error)
+            << "length " << len;
+        EXPECT_LT(peakRssKb() - before, 64 * 1024)
+            << "length " << len << " grew peak RSS past 64 MiB";
     }
 }
 

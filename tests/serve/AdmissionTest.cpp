@@ -7,6 +7,7 @@
  */
 
 #include <cstddef>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "serve/Admission.h"
 #include "serve/ChipConfig.h"
 #include "serve/ChipPool.h"
+#include "serve/FleetController.h"
 #include "serve/TrafficGen.h"
 
 namespace darth
@@ -367,6 +369,55 @@ TEST(Admission, InvalidConfigsThrow)
                  std::invalid_argument);
     cfg.chipQueueDepth = {1};
     EXPECT_NO_THROW(AdmissionController(pool, tenants, cfg));
+}
+
+/** Feed `trace` to a fresh controller through run() (`streamed`
+ *  false) or runStream(); `fleet` drives the tenants through a
+ *  FleetController, so tenants with arriveNs > 0 place lazily. */
+void
+expectMalformed(const std::vector<ServeRequest> &trace,
+                const std::vector<TenantSpec> &specs, bool fleet,
+                const char *what)
+{
+    for (const bool streamed : {false, true}) {
+        ChipPool pool(poolConfig(1, 2));
+        TrafficGen gen(49);
+        AdmissionConfig cfg;
+        std::unique_ptr<FleetController> fc;
+        std::unique_ptr<AdmissionController> ac;
+        if (fleet) {
+            fc = std::make_unique<FleetController>(pool, gen, specs,
+                                                   FleetConfig{});
+            ac = std::make_unique<AdmissionController>(pool, *fc, cfg);
+        } else {
+            ac = std::make_unique<AdmissionController>(
+                pool, buildTenants(pool, gen, specs), cfg);
+        }
+        if (streamed) {
+            VectorSource source(trace);
+            EXPECT_THROW(ac->runStream(source), std::runtime_error)
+                << what << " (runStream)";
+        } else {
+            EXPECT_THROW(ac->run(trace), std::runtime_error)
+                << what << " (run)";
+        }
+    }
+}
+
+TEST(Admission, MalformedTracesThrowFromBothEntryPoints)
+{
+    const std::vector<TenantSpec> one = microSpecs({1.0});
+    expectMalformed({microRequest(0, 0), microRequest(5, 3)}, one,
+                    /*fleet=*/false, "out-of-range tenant");
+    expectMalformed({microRequest(10, 0), microRequest(5, 0)}, one,
+                    /*fleet=*/false, "arrival before its predecessor");
+
+    // Fleet mode: tenant 1 arrives at 1000 ns, so a request of its
+    // at 100 ns names a tenant with no placement yet.
+    std::vector<TenantSpec> churn = microSpecs({1.0, 1.0});
+    churn[1].arriveNs = 1000;
+    expectMalformed({microRequest(0, 0), microRequest(100, 1)}, churn,
+                    /*fleet=*/true, "tenant not arrived yet");
 }
 
 TEST(Admission, MixedClockPoolsAreAccepted)

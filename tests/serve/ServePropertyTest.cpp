@@ -10,8 +10,10 @@
  *     admitted-set == completed-set, report counters match the
  *     journal;
  *  2. replay: the journal alone reconstructs the run bit-exactly;
- *  3. threads: 1 vs 4 host threads produce bit-identical journals
- *     and output checksums;
+ *  3. pinned oracle: each tier-1 seed's journal chain checksum and
+ *     output checksum equal the constants recorded below, so any
+ *     change to the serving loop that moves one journal byte or one
+ *     output word fails here (stress traces are longer and unpinned);
  *  4. pool invariance: under OverflowPolicy::Block the output
  *     checksum is invariant across pool size and placement policy
  *     (outputs depend only on tenant weights and inputs, never on
@@ -30,6 +32,7 @@
  */
 
 #include <cstdlib>
+#include <iterator>
 #include <map>
 #include <random>
 #include <set>
@@ -158,6 +161,41 @@ drawSetup(u64 seed)
     return setup;
 }
 
+/** (journal chain checksum, output checksum) of each tier-1 seed's
+ *  recorded run. Static seeds are even, fleet seeds odd; the draws
+ *  cover Reject and Stage granularity too. */
+struct PinnedRun
+{
+    u64 chain;
+    u64 output;
+};
+constexpr PinnedRun kPinned[] = {
+    {0x2f7a236a3b23b926ULL, 0xd6cce38389e382caULL}, // seed 0
+    {0xfce3f96e6f1da6f2ULL, 0x1cfa1edca4355343ULL}, // seed 1
+    {0x0070c66ecddbd0faULL, 0x312e69c88d9c83c5ULL}, // seed 2
+    {0x7663ee8ad72b46c6ULL, 0x2d6de9e44efcbdebULL}, // seed 3
+    {0x825783eef50439a6ULL, 0x3eea9dbb735b5bf8ULL}, // seed 4
+    {0xd0268c54757a24e9ULL, 0x281825013e22635aULL}, // seed 5
+    {0x26b243f45d8db343ULL, 0xb725302f34d1ba20ULL}, // seed 6
+    {0x8c8ec02318e4b689ULL, 0x67efbf604812eb73ULL}, // seed 7
+    {0x5218bb304a7f3906ULL, 0x893f03941b05f66dULL}, // seed 8
+    {0x51ab3ebb0f75e8bbULL, 0xcd6698275f61dad2ULL}, // seed 9
+    {0x59a4ad31af4cbd23ULL, 0x274c5b9f08a99d65ULL}, // seed 10
+    {0xe74050925cb9c55cULL, 0xe2bb949379859e72ULL}, // seed 11
+    {0x65914bcd4cd1fa77ULL, 0xef298e6f6e660fc8ULL}, // seed 12
+    {0xdacf669f975ae64cULL, 0xaf1d8e0978757e30ULL}, // seed 13
+    {0x8405a8d2c5950029ULL, 0x1afdfb6083f309f7ULL}, // seed 14
+    {0x04b94d60419be7ecULL, 0xf9992e768b1b3dccULL}, // seed 15
+    {0x35ea674924b912f6ULL, 0xf0801a33d7beca42ULL}, // seed 16
+    {0x21d15c86914f3ee7ULL, 0x7bcae4bf8c4faab9ULL}, // seed 17
+    {0x800fe646f8e5cc76ULL, 0x9b90d2d00c473e0eULL}, // seed 18
+    {0x04ee79d94875b552ULL, 0x19f89f480a04045bULL}, // seed 19
+    {0x77b5db3d29a85157ULL, 0x601b877ab3e3e6d6ULL}, // seed 20
+    {0x93d6a1011ab445d9ULL, 0x3bba13eb4b851633ULL}, // seed 21
+    {0x0f1336f83e520421ULL, 0x46b5d8290bd70d79ULL}, // seed 22
+    {0x36ae23008d226e38ULL, 0x900ef653bd62cb88ULL}, // seed 23
+};
+
 class ServeProperty : public ::testing::TestWithParam<int>
 {
 };
@@ -218,16 +256,15 @@ TEST_P(ServeProperty, InvariantsHold)
         << "seed " << seed << ": replay diverged at event "
         << res.firstMismatch << ": " << res.detail;
 
-    // --- 3. Threads: 4 host threads, same trace, bit-identical
-    // journal and outputs.
-    journal::ServeRunSetup threaded = setup;
-    threaded.admission.threads = 4;
-    const journal::ServeRunRecord rec4 =
-        journal::recordServeRun(threaded, rec.trace);
-    EXPECT_EQ(rec4.journal.chainChecksum(), rec.journal.chainChecksum())
-        << "seed " << seed << ": journals diverge across thread counts";
-    EXPECT_EQ(rec4.report.outputChecksum, rec.report.outputChecksum)
-        << "seed " << seed;
+    // --- 3. Pinned oracle: the journal chain and the output
+    // checksum equal the recorded constants (tier-1 traces only).
+    if (!stressMode()) {
+        ASSERT_LT(seed, std::size(kPinned));
+        EXPECT_EQ(rec.journal.chainChecksum(), kPinned[seed].chain)
+            << "seed " << seed << ": journal bytes moved";
+        EXPECT_EQ(rec.report.outputChecksum, kPinned[seed].output)
+            << "seed " << seed << ": outputs moved";
+    }
 
     // --- 4. Pool invariance (Block only): the same trace on a
     // single-chip pool under a different placement policy yields

@@ -30,16 +30,14 @@ bans the sources of it in the scheduling-relevant trees
                         implementations (see common/Random.h); use
                         the explicitly seeded darth::Rng.
   static-mutable-local  `static` non-const local state. Mutable
-                        function-local state persists across calls
-                        and will be shared (and racy) under per-chip
-                        worker threads; hoist it into the owning
-                        object instead.
+                        function-local state persists across calls,
+                        so a call's result depends on call history;
+                        hoist it into the owning object instead.
   raw-thread            std::thread / std::jthread / pthread_create.
-                        All simulator threading must flow through
-                        darth::WorkerPool (common/WorkerPool.h),
-                        which owns the deterministic fork/join,
-                        inline threads<=1 fallback, and exception
-                        funneling; ad-hoc threads bypass all three.
+                        The simulator is single-threaded by design:
+                        every run is one deterministic event loop,
+                        and an ad-hoc thread would make results
+                        depend on host scheduling.
 
 The lint is a regex pass, not a compiler plugin (the hybrid
 clang-query mode is used automatically when clang-query is on PATH
@@ -124,8 +122,8 @@ RULES = [
             r"thread_local\b)"
             r"(?:[\w:]+(?:\s*<[^;()]*>)?(?:\s*[&*])*\s+)+"
             r"(\w+)\s*(?:=|;|\{)"),
-        "static mutable local/member state: persists across calls "
-        "and races under worker threads; hoist into the owning "
+        "static mutable local/member state: persists across calls, "
+        "so results depend on call history; hoist into the owning "
         "object",
     ),
     (
@@ -133,10 +131,9 @@ RULES = [
         re.compile(
             r"\bstd\s*::\s*(?:jthread|thread)\b"
             r"|\bpthread_create\s*\("),
-        "raw thread spawn: route all parallelism through "
-        "darth::WorkerPool (common/WorkerPool.h) so fork/join "
-        "boundaries, inline threads<=1 fallback, and exception "
-        "funneling stay deterministic",
+        "raw thread spawn: the simulator is single-threaded so "
+        "results never depend on host scheduling; keep the work on "
+        "the calling thread",
     ),
 ]
 
