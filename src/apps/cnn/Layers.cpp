@@ -2,11 +2,55 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace darth
 {
 namespace cnn
 {
+
+namespace
+{
+
+/**
+ * acc[0..n) += v * w[0..n): one input value times one contiguous
+ * weight row, the inner step of every MVM here. A zero input adds
+ * nothing and is skipped. Unrolled by four because the default -O2
+ * build neither unrolls nor vectorizes it; that made ResNet-20
+ * forwards about 1.4x faster on a 4-core x86-64 VM.
+ */
+inline void
+accumulateRow(i64 *acc, i64 v, const i64 *w, std::size_t n)
+{
+    if (v == 0)
+        return;
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        acc[i] += v * w[i];
+        acc[i + 1] += v * w[i + 1];
+        acc[i + 2] += v * w[i + 2];
+        acc[i + 3] += v * w[i + 3];
+    }
+    for (; i < n; ++i)
+        acc[i] += v * w[i];
+}
+
+/**
+ * Output range [lo, hi), clipped to [0, out), along one axis whose
+ * input o*stride + k - pad lies inside [0, in): the outputs that kernel
+ * offset `k` reads from inside the image rather than from padding.
+ */
+std::pair<std::size_t, std::size_t>
+insideOutputs(std::size_t k, std::size_t in, std::size_t out,
+              std::size_t stride, std::size_t pad)
+{
+    const std::size_t lo = k >= pad ? 0 : (pad - k + stride - 1) / stride;
+    const std::size_t hi =
+        in + pad <= k ? 0 : (in + pad - k + stride - 1) / stride;
+    return {lo, std::max(lo, std::min(hi, out))};
+}
+
+} // namespace
 
 Conv2d::Conv2d(std::string name, std::size_t in_channels,
                std::size_t out_channels, std::size_t kernel,
@@ -30,12 +74,26 @@ Conv2d::initRandom(Rng &rng, i32 weight_range)
         b = static_cast<i32>(rng.uniformInt(i64{-8}, i64{8}));
 }
 
-std::vector<std::vector<i64>>
-Conv2d::im2colPatches(const Tensor &input) const
+void
+Conv2d::checkInput(const Tensor &input) const
 {
     if (input.channels() != cin_)
         darth_fatal("Conv2d ", name_, ": expected ", cin_,
                     " input channels, got ", input.channels());
+    // outSize() is unsigned: an input extent smaller than the kernel
+    // after padding would wrap into a huge output.
+    if (input.height() + 2 * pad_ < kernel_ ||
+        input.width() + 2 * pad_ < kernel_)
+        darth_fatal("Conv2d ", name_, ": ", input.height(), "x",
+                    input.width(), " input is smaller than its ",
+                    kernel_, "x", kernel_, " kernel with padding ",
+                    pad_);
+}
+
+std::vector<std::vector<i64>>
+Conv2d::im2colPatches(const Tensor &input) const
+{
+    checkInput(input);
     const std::size_t out_h = outSize(input.height());
     const std::size_t out_w = outSize(input.width());
     const std::size_t k_elems = cin_ * kernel_ * kernel_;
@@ -74,55 +132,87 @@ Conv2d::im2colPatches(const Tensor &input) const
     return patches;
 }
 
+void
+Conv2d::epilogue(const i64 *acc, std::size_t pos, const MvmNoise &noise,
+                 Tensor &out) const
+{
+    const std::size_t k_elems = cin_ * kernel_ * kernel_;
+    const std::size_t positions = out.height() * out.width();
+    i32 *dst = out.data().data() + pos;
+    for (std::size_t oc = 0; oc < cout_; ++oc) {
+        i64 v = noise.perturb(acc[oc], k_elems);
+        v += bias_[oc];
+        v >>= requantShift_;
+        dst[oc * positions] =
+            static_cast<i32>(std::clamp<i64>(v, -127, 127));
+    }
+}
+
 Tensor
 Conv2d::assembleFromAccs(const std::vector<std::vector<i64>> &accs,
                          std::size_t out_h, std::size_t out_w,
                          const MvmNoise &noise) const
 {
-    if (accs.size() != out_h * out_w)
+    const std::size_t positions = out_h * out_w;
+    if (accs.size() != positions)
         darth_fatal("Conv2d ", name_, ": ", accs.size(),
                     " accumulator vectors for ", out_h, "x", out_w,
                     " output positions");
-    const std::size_t k_elems = cin_ * kernel_ * kernel_;
+    for (const std::vector<i64> &row : accs)
+        if (row.size() != cout_)
+            darth_fatal("Conv2d ", name_, ": accumulator vector "
+                        "has ", row.size(), " values for ", cout_,
+                        " output channels");
     Tensor out(cout_, out_h, out_w);
-    for (std::size_t oy = 0; oy < out_h; ++oy) {
-        for (std::size_t ox = 0; ox < out_w; ++ox) {
-            const std::vector<i64> &row = accs[oy * out_w + ox];
-            if (row.size() != cout_)
-                darth_fatal("Conv2d ", name_, ": accumulator vector "
-                            "has ", row.size(), " values for ", cout_,
-                            " output channels");
-            for (std::size_t oc = 0; oc < cout_; ++oc) {
-                i64 acc = noise.perturb(row[oc], k_elems);
-                acc += bias_[oc];
-                acc >>= requantShift_;
-                out.at(oc, oy, ox) = static_cast<i32>(
-                    std::clamp<i64>(acc, -127, 127));
-            }
-        }
-    }
+    for (std::size_t pos = 0; pos < positions; ++pos)
+        epilogue(accs[pos].data(), pos, noise, out);
     return out;
 }
 
 Tensor
 Conv2d::forward(const Tensor &input, const MvmNoise &noise) const
 {
-    const std::size_t out_h = outSize(input.height());
-    const std::size_t out_w = outSize(input.width());
-    const std::size_t k_elems = cin_ * kernel_ * kernel_;
+    checkInput(input);
+    const std::size_t in_h = input.height();
+    const std::size_t in_w = input.width();
+    const std::size_t out_h = outSize(in_h);
+    const std::size_t out_w = outSize(in_w);
+    const std::size_t positions = out_h * out_w;
 
-    const auto patches = im2colPatches(input);
-    std::vector<std::vector<i64>> accs;
-    accs.reserve(patches.size());
-    for (const auto &patch : patches) {
-        // MVM over the weight matrix (what the ACE executes).
-        std::vector<i64> acc(cout_, 0);
-        for (std::size_t oc = 0; oc < cout_; ++oc)
-            for (std::size_t i = 0; i < k_elems; ++i)
-                acc[oc] += patch[i] * weights_(i, oc);
-        accs.push_back(std::move(acc));
+    // Direct convolution into one (position, oc) accumulator: each
+    // weight row (ic, ky, kx) meets exactly the output positions whose
+    // input pixel lies inside the image, so padding is never visited.
+    // Integer sums are order-free, so this equals the im2col MVM.
+    std::vector<i64> accs(positions * cout_, 0);
+    const i32 *in = input.data().data();
+    const i64 *w = weights_.data().data();
+    for (std::size_t ic = 0; ic < cin_; ++ic) {
+        const i32 *plane = in + ic * in_h * in_w;
+        for (std::size_t ky = 0; ky < kernel_; ++ky) {
+            const auto [oy_lo, oy_hi] =
+                insideOutputs(ky, in_h, out_h, stride_, pad_);
+            for (std::size_t kx = 0; kx < kernel_; ++kx) {
+                const auto [ox_lo, ox_hi] =
+                    insideOutputs(kx, in_w, out_w, stride_, pad_);
+                const i64 *wrow =
+                    w + ((ic * kernel_ + ky) * kernel_ + kx) * cout_;
+                for (std::size_t oy = oy_lo; oy < oy_hi; ++oy) {
+                    const i32 *src =
+                        plane + (oy * stride_ + ky - pad_) * in_w;
+                    i64 *dst = accs.data() + oy * out_w * cout_;
+                    for (std::size_t ox = ox_lo; ox < ox_hi; ++ox)
+                        accumulateRow(dst + ox * cout_,
+                                      src[ox * stride_ + kx - pad_],
+                                      wrow, cout_);
+                }
+            }
+        }
     }
-    return assembleFromAccs(accs, out_h, out_w, noise);
+
+    Tensor out(cout_, out_h, out_w);
+    for (std::size_t pos = 0; pos < positions; ++pos)
+        epilogue(accs.data() + pos * cout_, pos, noise, out);
+    return out;
 }
 
 LayerStats
@@ -132,8 +222,8 @@ Conv2d::stats(std::size_t in_h, std::size_t in_w) const
     s.name = name_;
     s.mvmRows = cin_ * kernel_ * kernel_;
     s.mvmCols = cout_;
-    const std::size_t out_h = (in_h + 2 * pad_ - kernel_) / stride_ + 1;
-    const std::size_t out_w = (in_w + 2 * pad_ - kernel_) / stride_ + 1;
+    const std::size_t out_h = outSize(in_h);
+    const std::size_t out_w = outSize(in_w);
     s.mvmCount = out_h * out_w;
     s.macs = static_cast<u64>(s.mvmRows) * s.mvmCols * s.mvmCount;
     s.outputElems = static_cast<u64>(cout_) * out_h * out_w;
@@ -182,9 +272,9 @@ FullyConnected::forward(const std::vector<i64> &input,
         darth_fatal("FullyConnected ", name_, ": expected ", in_,
                     " inputs, got ", input.size());
     std::vector<i64> acc(out_, 0);
-    for (std::size_t oc = 0; oc < out_; ++oc)
-        for (std::size_t i = 0; i < in_; ++i)
-            acc[oc] += input[i] * weights_(i, oc);
+    const i64 *w = weights_.data().data();
+    for (std::size_t i = 0; i < in_; ++i)
+        accumulateRow(acc.data(), input[i], w + i * out_, out_);
     return assembleFromAcc(acc, noise);
 }
 

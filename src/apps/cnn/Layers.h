@@ -6,7 +6,8 @@
  * Convolution is expressed exactly the way DARTH-PUM executes it: an
  * im2col (Toeplitz [132]) expansion turning each output position into
  * an MVM of shape (Cin*kh*kw) x Cout, which is the unit the ACE
- * accelerates; everything else (bias/BN scale, ReLU, pooling,
+ * accelerates (Conv2d::forward computes the same integer sums as a
+ * direct convolution); everything else (bias/BN scale, ReLU, pooling,
  * residual adds) is element-wise work the DCE executes. Each layer
  * reports those op counts so the mappers and baselines can cost it.
  */
@@ -92,8 +93,9 @@ class Conv2d
     /**
      * im2col (Toeplitz) expansion: one patch per output position, row
      * order (oy, ox), each of length Cin*k*k — exactly the MVM inputs
-     * the ACE executes. forward() and the session-graph path
-     * (CnnMapper) share this, so both see identical arithmetic.
+     * the ACE executes, streamed by the session-graph path
+     * (CnnMapper). forward() convolves directly without it; patches
+     * times weightMatrix() equal its accumulators exactly.
      */
     std::vector<std::vector<i64>> im2colPatches(const Tensor &input)
         const;
@@ -106,10 +108,11 @@ class Conv2d
     }
 
     /**
-     * Epilogue shared by forward() and the graph path: per output
-     * element, perturb the raw MVM accumulator (analog noise), add
-     * bias, requantize, and clamp. `accs` holds one accumulator
-     * vector per output position in im2colPatches() order.
+     * The graph path's epilogue, the same one forward() runs: per
+     * output element in (oy, ox, oc) order, perturb the raw MVM
+     * accumulator (analog noise), add bias, requantize, and clamp.
+     * `accs` holds one accumulator vector per output position in
+     * im2colPatches() order.
      */
     Tensor assembleFromAccs(const std::vector<std::vector<i64>> &accs,
                             std::size_t out_h, std::size_t out_w,
@@ -130,6 +133,14 @@ class Conv2d
     void setRequantShift(int shift) { requantShift_ = shift; }
 
   private:
+    /** Fatal unless `input` has Cin channels and covers the kernel. */
+    void checkInput(const Tensor &input) const;
+
+    /** Epilogue of output position `pos` (row-major (oy, ox)) of
+     *  `out`: `acc` holds that position's Cout raw accumulators. */
+    void epilogue(const i64 *acc, std::size_t pos, const MvmNoise &noise,
+                  Tensor &out) const;
+
     std::string name_;
     std::size_t cin_;
     std::size_t cout_;

@@ -4,6 +4,8 @@
  * noise injection, and the DARTH mapper costs.
  */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "apps/cnn/CnnMapper.h"
@@ -222,32 +224,116 @@ TEST(CnnMapper, HybridBeatsDigitalOnlyOnConvLayers)
     EXPECT_LT(hybrid.energy, digital.energy);
 }
 
-TEST(Conv2d, Im2colAndAssembleReproduceForward)
+/** im2col patches times the weight matrix: the graph path's MVMs. */
+std::vector<std::vector<i64>>
+im2colAccumulators(const Conv2d &conv, const Tensor &in)
 {
-    // The im2col/epilogue split shared with the session-graph path
-    // reproduces forward() exactly.
-    Rng rng(601);
-    Conv2d conv("c", 2, 3, 3, 1, 1);
-    conv.initRandom(rng);
-    Tensor in(2, 4, 4);
-    for (auto &v : in.data())
-        v = static_cast<i32>(rng.uniformInt(i64{-3}, i64{3}));
-
-    const auto patches = conv.im2colPatches(in);
-    ASSERT_EQ(patches.size(), 16u);
-    ASSERT_EQ(patches[0].size(), 18u);
     const auto &w = conv.weightMatrix();
     std::vector<std::vector<i64>> accs;
-    for (const auto &patch : patches) {
+    for (const auto &patch : conv.im2colPatches(in)) {
+        EXPECT_EQ(patch.size(), w.rows());
         std::vector<i64> acc(w.cols(), 0);
         for (std::size_t oc = 0; oc < w.cols(); ++oc)
             for (std::size_t i = 0; i < patch.size(); ++i)
                 acc[oc] += patch[i] * w(i, oc);
         accs.push_back(std::move(acc));
     }
-    const Tensor assembled = conv.assembleFromAccs(accs, 4, 4);
-    const Tensor direct = conv.forward(in);
-    EXPECT_EQ(assembled.data(), direct.data());
+    return accs;
+}
+
+TEST(Conv2d, Im2colAndAssembleReproduceForward)
+{
+    // forward() convolves directly; the graph path streams im2col
+    // patches and runs assembleFromAccs(). Both must agree bit for bit
+    // with each other and with an epilogue written out here, exact and
+    // under noise (which pins the (oy, ox, oc) draw order), across
+    // kernel, stride, padding, ragged shapes, and 1/16 channels.
+    struct Case
+    {
+        std::size_t cin, cout, kernel, stride, pad, h, w;
+    };
+    const Case cases[] = {
+        {2, 3, 3, 1, 1, 4, 4},   {1, 1, 3, 1, 1, 5, 7},
+        {1, 16, 3, 2, 1, 8, 8},  {16, 1, 3, 2, 0, 5, 7},
+        {16, 16, 3, 1, 0, 8, 8}, {3, 5, 1, 1, 0, 5, 7},
+        {16, 4, 1, 2, 0, 8, 8},  {4, 16, 1, 2, 1, 5, 7},
+        {5, 7, 3, 2, 1, 7, 5},   {1, 16, 3, 1, 1, 1, 1},
+    };
+    Rng rng(601);
+    for (const Case &c : cases) {
+        SCOPED_TRACE(::testing::Message()
+                     << "cin=" << c.cin << " cout=" << c.cout
+                     << " k=" << c.kernel << " s=" << c.stride
+                     << " p=" << c.pad << " in=" << c.h << "x" << c.w);
+        Conv2d conv("c", c.cin, c.cout, c.kernel, c.stride, c.pad);
+        conv.initRandom(rng);
+        Tensor in(c.cin, c.h, c.w);
+        for (auto &v : in.data()) {
+            const i64 pick = rng.uniformInt(i64{0}, i64{5});
+            v = pick == 0   ? 0
+                : pick == 1 ? 127
+                : pick == 2 ? -127
+                            : static_cast<i32>(
+                                  rng.uniformInt(i64{-127}, i64{127}));
+        }
+        const std::size_t out_h = conv.outSize(c.h);
+        const std::size_t out_w = conv.outSize(c.w);
+        const auto accs = im2colAccumulators(conv, in);
+        ASSERT_EQ(accs.size(), out_h * out_w);
+
+        // Bias per channel: a zero input at shift 0 leaves exactly it.
+        const int shift = conv.requantShift();
+        conv.setRequantShift(0);
+        const Tensor bias = conv.forward(Tensor(c.cin, c.h, c.w));
+        conv.setRequantShift(shift);
+
+        for (const double sigma : {0.0, 0.7}) {
+            SCOPED_TRACE(sigma);
+            Rng fwd_rng(99), asm_rng(99), ref_rng(99);
+            MvmNoise fwd_noise{sigma, &fwd_rng};
+            MvmNoise asm_noise{sigma, &asm_rng};
+            MvmNoise ref_noise{sigma, &ref_rng};
+
+            Tensor expected(c.cout, out_h, out_w);
+            for (std::size_t oy = 0; oy < out_h; ++oy)
+                for (std::size_t ox = 0; ox < out_w; ++ox)
+                    for (std::size_t oc = 0; oc < c.cout; ++oc) {
+                        i64 v = ref_noise.perturb(
+                            accs[oy * out_w + ox][oc],
+                            c.cin * c.kernel * c.kernel);
+                        v = (v + bias.at(oc, 0, 0)) >> shift;
+                        expected.at(oc, oy, ox) = static_cast<i32>(
+                            std::clamp<i64>(v, -127, 127));
+                    }
+
+            const Tensor direct = conv.forward(in, fwd_noise);
+            const Tensor assembled =
+                conv.assembleFromAccs(accs, out_h, out_w, asm_noise);
+            EXPECT_EQ(direct.data(), expected.data());
+            EXPECT_EQ(assembled.data(), expected.data());
+            // Every path drew the same number of values.
+            const u64 after = ref_rng.next();
+            EXPECT_EQ(fwd_rng.next(), after);
+            EXPECT_EQ(asm_rng.next(), after);
+        }
+    }
+}
+
+TEST(Conv2d, RejectsInputSmallerThanKernel)
+{
+    // (in + 2*pad - kernel) would wrap in size_t; both entry points
+    // refuse the input before allocating anything.
+    Conv2d conv("tiny", 1, 4, 3, 1, 0);
+    const Tensor one(1, 1, 1, 5);
+    EXPECT_THROW((void)conv.forward(one), std::runtime_error);
+    EXPECT_THROW((void)conv.im2colPatches(one), std::runtime_error);
+    EXPECT_THROW((void)conv.forward(Tensor(1, 3, 2)),
+                 std::runtime_error);
+    // Padding can cover the shortfall: 1x1 with pad 1 is a 3x3 window.
+    Conv2d padded("padded", 1, 4, 3, 1, 1);
+    const Tensor out = padded.forward(one);
+    EXPECT_EQ(out.height(), 1u);
+    EXPECT_EQ(out.width(), 1u);
 }
 
 TEST(TinyCnn, DeterministicInSeed)
