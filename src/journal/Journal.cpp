@@ -4,7 +4,6 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 #include "common/Fnv.h"
@@ -161,6 +160,20 @@ decodeEventBytes(const std::vector<unsigned char> &rec,
     return e;
 }
 
+std::size_t
+writeRecord(std::ostream &out, const std::vector<unsigned char> &encoded,
+            u64 checksum)
+{
+    std::vector<unsigned char> buf;
+    buf.reserve(12 + encoded.size());
+    appendLeU32(buf, static_cast<u32>(encoded.size()));
+    buf.insert(buf.end(), encoded.begin(), encoded.end());
+    appendLeU64(buf, checksum);
+    out.write(reinterpret_cast<const char *>(buf.data()),
+              static_cast<std::streamsize>(buf.size()));
+    return buf.size();
+}
+
 bool
 readRecord(std::istream &in, u64 &chain, const std::string &where,
            JournalEvent &out)
@@ -209,34 +222,6 @@ journalChainBasis()
     appendLeU32(buf, Journal::kFormatVersion);
     return fnv1aBytes(buf.data(), buf.size());
 }
-
-namespace
-{
-
-/** Minimal JSON string escaping for event notes. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char ch : s) {
-        unsigned char c = static_cast<unsigned char>(ch);
-        if (ch == '"' || ch == '\\') {
-            out.push_back('\\');
-            out.push_back(ch);
-        } else if (c < 0x20) {
-            static const char hex[] = "0123456789abcdef";
-            out += "\\u00";
-            out.push_back(hex[(c >> 4) & 0xf]);
-            out.push_back(hex[c & 0xf]);
-        } else {
-            out.push_back(ch);
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 const char *
 eventKindName(EventKind kind)
@@ -315,9 +300,10 @@ Journal::append(JournalEvent event)
 void
 Journal::attachSink(JournalSink *sink, bool retainEvents)
 {
-    if (count_ != 0)
+    if (count_ != 0 && retainEvents != retain_)
         throw std::logic_error(
-            "journal: attachSink requires an empty journal");
+            "journal: event retention can change only on an empty "
+            "journal");
     sink_ = sink;
     retain_ = retainEvents;
 }
@@ -394,15 +380,10 @@ Journal::writeBinary(std::ostream &out) const
     appendLeU32(buf, kFormatVersion);
     appendLeU32(buf, 0); // reserved
     appendLeU64(buf, events_.size());
-    for (std::size_t i = 0; i < events_.size(); ++i) {
-        const std::vector<unsigned char> rec =
-            encodeEventBytes(events_[i]);
-        appendLeU32(buf, static_cast<u32>(rec.size()));
-        buf.insert(buf.end(), rec.begin(), rec.end());
-        appendLeU64(buf, checksums_[i]);
-    }
     out.write(reinterpret_cast<const char *>(buf.data()),
               static_cast<std::streamsize>(buf.size()));
+    for (std::size_t i = 0; i < events_.size(); ++i)
+        writeRecord(out, encodeEventBytes(events_[i]), checksums_[i]);
 }
 
 Journal
@@ -433,6 +414,10 @@ Journal::readBinary(std::istream &in)
         // the in-memory chain equals the verified on-disk chain.
         out.append(std::move(e));
     }
+    if (in.peek() != std::istream::traits_type::eof())
+        throw std::runtime_error(
+            "journal: trailing bytes after the " +
+            std::to_string(count) + " announced records");
     return out;
 }
 
@@ -457,76 +442,6 @@ Journal::readBinaryFile(const std::string &path)
     if (!in)
         throw std::runtime_error("journal: cannot open " + path);
     return readBinary(in);
-}
-
-namespace
-{
-
-/** One record as a JSONL line — shared by the retained writeJsonl()
- *  export and the streaming JsonlSink. */
-void
-jsonlRecordLine(std::ostream &out, std::size_t i,
-                const JournalEvent &e, u64 checksum)
-{
-    out << "{\"i\":" << i << ",\"kind\":\"" << eventKindName(e.kind)
-        << "\",\"cycle\":" << e.cycle << ",\"a\":" << e.a
-        << ",\"b\":" << e.b << ",\"c\":" << e.c << ",\"d\":" << e.d;
-    if (!e.note.empty())
-        out << ",\"note\":\"" << jsonEscape(e.note) << "\"";
-    if (!e.values.empty()) {
-        out << ",\"values\":[";
-        for (std::size_t v = 0; v < e.values.size(); ++v)
-            out << (v ? "," : "") << e.values[v];
-        out << "]";
-    }
-    out << ",\"checksum\":\"" << hexU64(checksum) << "\"}\n";
-}
-
-} // namespace
-
-void
-Journal::writeJsonl(std::ostream &out) const
-{
-    if (!retain_)
-        throw std::logic_error(
-            "journal: writeJsonl requires event retention (attach a "
-            "JsonlSink for streaming JSONL export)");
-    out << "{\"format\":\"darth-journal\",\"version\":"
-        << kFormatVersion << ",\"events\":" << events_.size()
-        << ",\"chain_checksum\":\"" << hexU64(chainChecksum())
-        << "\"}\n";
-    for (std::size_t i = 0; i < events_.size(); ++i)
-        jsonlRecordLine(out, i, events_[i], checksums_[i]);
-}
-
-JsonlSink::JsonlSink(std::ostream &out) : out_(out)
-{
-    chain_ = journalChainBasis();
-    out_ << "{\"format\":\"darth-journal\",\"version\":"
-         << Journal::kFormatVersion << ",\"streaming\":true}\n";
-}
-
-void
-JsonlSink::onRecord(const JournalEvent &event, std::size_t index,
-                    u64 checksum,
-                    const std::vector<unsigned char> &encoded)
-{
-    (void)encoded;
-    jsonlRecordLine(out_, index, event, checksum);
-    count_ = index + 1;
-    chain_ = checksum;
-}
-
-void
-JsonlSink::finish()
-{
-    if (finished_)
-        return;
-    finished_ = true;
-    out_ << "{\"format\":\"darth-journal-summary\",\"events\":"
-         << count_ << ",\"chain_checksum\":\"" << hexU64(chain_)
-         << "\"}\n";
-    out_.flush();
 }
 
 } // namespace journal

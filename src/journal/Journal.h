@@ -22,14 +22,16 @@
  * silently wrong history. chainChecksum() — the last record's
  * checksum — is therefore a digest of the entire run.
  *
- * Two serializations share one canonical record encoding:
- *
- *  - writeBinary / readBinary — the compact durable format
- *    (little-endian, fixed header "DARTHJNL" + format version).
- *    write(read(write(j))) is byte-identical to write(j).
- *  - writeJsonl — one JSON object per line for postmortem grepping
- *    and external tooling; human-readable export only (the binary
- *    format is the one that round-trips).
+ * Every durable format stores records in one framing — u32 length,
+ * canonical little-endian record bytes, u64 chained checksum —
+ * written by writeRecord() and read back by readRecord(). The
+ * monolithic format (writeBinary / readBinary: fixed header
+ * "DARTHJNL" + format version + record count, then the framed
+ * records) keeps a whole history in one file, and its record count
+ * is what catches a file cut at a record boundary;
+ * write(read(write(j))) is byte-identical to write(j). The segmented
+ * format (journal/Segment.h) streams the same framed records into
+ * rotating files.
  *
  * The journal itself is serve-agnostic: events carry a kind, a
  * simulated-cycle stamp, four 64-bit arguments, an optional short
@@ -175,7 +177,7 @@ enum class EventKind : u32
     RequestSummary,
 };
 
-/** Short lowercase kind name (JSONL "kind" field). */
+/** Short lowercase kind name (replay mismatch and error reports). */
 const char *eventKindName(EventKind kind);
 
 struct JournalEvent;
@@ -197,15 +199,22 @@ void appendLeU64(std::vector<unsigned char> &buf, u64 v);
 u32 readLeU32(std::istream &in, const std::string &what);
 u64 readLeU64(std::istream &in, const std::string &what);
 
+/** Write one framed record (u32 length, canonical bytes, u64 chained
+ *  checksum) — the one record writer of every binary format. Returns
+ *  the bytes written; the caller checks the stream's state. */
+std::size_t writeRecord(std::ostream &out,
+                        const std::vector<unsigned char> &encoded,
+                        u64 checksum);
+
 /**
- * Read one framed record (u32 length, canonical bytes, u64 chained
- * checksum) — the one record reader of every binary format. Verifies
- * the record continues `chain`, advances it, and decodes into `out`.
- * Returns false on a clean end of stream before the length field;
- * a short read, checksum mismatch, or malformed bytes throws
- * std::runtime_error naming `where`. The body is read in 64 KiB
- * chunks, so a corrupt length field allocates only about what
- * actually arrives, never the up-to-4 GiB it claims.
+ * Read one framed record (the writeRecord framing) — the one record
+ * reader of every binary format. Verifies the record continues
+ * `chain`, advances it, and decodes into `out`. Returns false on a
+ * clean end of stream before the length field; a short read,
+ * checksum mismatch, or malformed bytes throws std::runtime_error
+ * naming `where`. The body is read in 64 KiB chunks, so a corrupt
+ * length field allocates only about what actually arrives, never
+ * the up-to-4 GiB it claims.
  */
 bool readRecord(std::istream &in, u64 &chain, const std::string &where,
                 JournalEvent &out);
@@ -274,8 +283,7 @@ struct JournalEvent
  * order, with its chained checksum and canonical encoded bytes —
  * everything the durable formats store — so exports no longer need
  * the full in-memory event vector. Segment.h's rotating
- * SegmentWriter and the JSONL JsonlSink below are the two shipped
- * sinks.
+ * SegmentWriter is the durable sink.
  */
 class JournalSink
 {
@@ -304,10 +312,11 @@ class Journal
      * `retainEvents` false the journal stops holding decoded
      * records in memory — it becomes a pure chain accumulator
      * (size() / chainChecksum() stay exact; events() / event(i) /
-     * recordChecksum(i) / writeBinary / writeJsonl throw
-     * std::logic_error). A million-request run records through a
-     * non-retaining journal + SegmentWriter at flat memory. Must be
-     * called on an empty journal (std::logic_error otherwise).
+     * recordChecksum(i) / writeBinary throw std::logic_error). A
+     * million-request run records through a non-retaining journal +
+     * SegmentWriter at flat memory. Retention can change only on an
+     * empty journal (std::logic_error otherwise); the sink can be
+     * swapped or detached at any time.
      */
     void attachSink(JournalSink *sink, bool retainEvents = true);
 
@@ -350,9 +359,9 @@ class Journal
     /**
      * Parse a binary journal, verifying the header and every
      * record's chained checksum. Throws std::runtime_error naming
-     * the first corrupt record (or the malformed header) — a
-     * truncated or bit-flipped file never yields a silently wrong
-     * history.
+     * the first corrupt record (or the malformed header, or bytes
+     * after the announced record count) — a truncated, extended or
+     * bit-flipped file never yields a silently wrong history.
      */
     static Journal readBinary(std::istream &in);
 
@@ -362,10 +371,6 @@ class Journal
 
     /** readBinary from a file (throws std::runtime_error). */
     static Journal readBinaryFile(const std::string &path);
-
-    /** One JSON object per event (after a header line); export
-     *  format for humans and external tools. */
-    void writeJsonl(std::ostream &out) const;
 
   private:
     /** Decoded records (empty when retention is off). */
@@ -378,33 +383,6 @@ class Journal
     u64 chainTail_ = 0;
     bool retain_ = true;
     JournalSink *sink_ = nullptr;
-};
-
-/**
- * Streaming JSONL export: one line per record as it appends, the
- * flush-on-append counterpart of writeJsonl() (which needs the full
- * retained event vector). The writeJsonl() header totals are
- * unknowable up front, so the stream opens with a totals-free
- * header line and finish() appends a summary line carrying the
- * final record count and chain checksum.
- */
-class JsonlSink : public JournalSink
-{
-  public:
-    explicit JsonlSink(std::ostream &out);
-
-    void onRecord(const JournalEvent &event, std::size_t index,
-                  u64 checksum,
-                  const std::vector<unsigned char> &encoded) override;
-
-    /** Write the summary trailer line (idempotent). */
-    void finish();
-
-  private:
-    std::ostream &out_;
-    std::size_t count_ = 0;
-    u64 chain_ = 0;
-    bool finished_ = false;
 };
 
 } // namespace journal

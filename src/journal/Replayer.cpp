@@ -17,31 +17,6 @@ namespace journal
 namespace
 {
 
-/** The runtime configuration a slot's factory inputs build. */
-runtime::ChipConfig
-slotChipConfig(const PoolSlotSetup &slot)
-{
-    switch (slot.kind) {
-      case SlotKind::Default: {
-        runtime::ChipConfig cfg;
-        if (slot.hcts != 0)
-            cfg.numHcts = slot.hcts;
-        return cfg;
-      }
-      case SlotKind::Uniform:
-        return serve::uniformChipSpec(slot.hcts, slot.clockGHz).chip;
-      case SlotKind::Sar:
-        return serve::heteroChipSpec(analog::AdcKind::Sar, slot.hcts,
-                                     slot.clockGHz)
-            .chip;
-      case SlotKind::Ramp:
-        return serve::heteroChipSpec(analog::AdcKind::Ramp, slot.hcts,
-                                     slot.clockGHz)
-            .chip;
-    }
-    throw std::invalid_argument("ServeRunSetup: unknown slot kind");
-}
-
 /** The ChipSpec a slot's factory inputs build (heterogeneous path). */
 serve::ChipSpec
 slotSpec(const PoolSlotSetup &slot)
@@ -171,15 +146,18 @@ emitHeaderRecords(const ServeRunSetup &setup,
  * record order every recording and replay produces: header records
  * (emitHeaderRecords), then the Placement records buildTenants
  * emits, TraceBegin announcing `traceBeginCount` requests (the trace
- * length, or kStreamedTraceCount for a streamed run —
- * replaySegments passes the recorded announcement through so the
- * replayed record stays byte-identical), and the run itself:
- * `runOn(controller)`, i.e. AdmissionController::run or runStream.
+ * length, or kStreamedTraceCount for a streamed run — replay passes
+ * the recorded announcement through so the replayed record stays
+ * byte-identical), and the run itself: `runOn(controller)`, i.e.
+ * AdmissionController::run or runStream. The controller runs with
+ * `admission`, which differs from setup.admission (the recorded
+ * config) only in collectOutputs, a report-only field.
  */
 template <typename RunOn>
 serve::ServeReport
-driveRun(const ServeRunSetup &setup, Journal &jr, u64 traceBeginCount,
-         RunOn &&runOn)
+driveRun(const ServeRunSetup &setup,
+         const serve::AdmissionConfig &admission, Journal &jr,
+         u64 traceBeginCount, RunOn &&runOn)
 {
     serve::ChipPool pool(setup.poolConfig());
     emitHeaderRecords(setup, pool, jr);
@@ -195,11 +173,11 @@ driveRun(const ServeRunSetup &setup, Journal &jr, u64 traceBeginCount,
         fleet = std::make_unique<serve::FleetController>(
             pool, gen, setup.tenants, setup.fleetCfg);
         ctrl = std::make_unique<serve::AdmissionController>(
-            pool, *fleet, setup.admission);
+            pool, *fleet, admission);
     } else {
         ctrl = std::make_unique<serve::AdmissionController>(
             pool, serve::buildTenants(pool, gen, setup.tenants),
-            setup.admission);
+            admission);
     }
 
     {
@@ -217,16 +195,16 @@ driveRun(const ServeRunSetup &setup, Journal &jr, u64 traceBeginCount,
 }
 
 /**
- * Parse the self-describing header out of `ev` starting at `i`,
- * consuming through the TraceBegin record (Placement records in
- * between are re-derived on replay, not inputs, and are skipped).
- * Returns TraceBegin's announced request count — possibly
- * kStreamedTraceCount.
+ * Parse the self-describing header records `ev`, RunBegin through
+ * TraceBegin (Placement records in between are re-derived on replay,
+ * not inputs, and are skipped). Returns TraceBegin's announced
+ * request count — possibly kStreamedTraceCount.
  */
 u64
 parseHeaderRecords(const std::vector<JournalEvent> &ev,
-                   std::size_t &i, ServeRunSetup &setup)
+                   ServeRunSetup &setup)
 {
+    std::size_t i = 0;
     auto need = [&](EventKind kind) -> const JournalEvent & {
         if (i >= ev.size())
             throw std::runtime_error(
@@ -265,8 +243,9 @@ parseHeaderRecords(const std::vector<JournalEvent> &ev,
         throw std::runtime_error(
             "Replayer: run_begin announces an empty pool");
 
+    // Sized by the PoolChip records actually read, never by the
+    // announced count, so a hostile count fails as a missing record.
     setup.slots.clear();
-    setup.slots.reserve(slot_count);
     for (std::size_t s = 0; s < slot_count; ++s) {
         const JournalEvent &e = need(EventKind::PoolChip);
         if (e.a != s)
@@ -377,6 +356,172 @@ formatEvent(const JournalEvent &e)
     return s;
 }
 
+/** Cursor over a retained journal's records: the in-memory
+ *  counterpart of SegmentReader::next. */
+class EventCursor
+{
+  public:
+    explicit EventCursor(const Journal &jr) : events_(jr.events()) {}
+
+    bool
+    next(JournalEvent &out)
+    {
+        if (i_ >= events_.size())
+            return false;
+        out = events_[i_++];
+        return true;
+    }
+
+  private:
+    const std::vector<JournalEvent> &events_;
+    std::size_t i_ = 0;
+};
+
+/**
+ * The one trace decoder. Construction reads a recording's header off
+ * `cursor` (a SegmentReader or an EventCursor) through its
+ * TraceBegin record and parses it; next() then yields one
+ * ServeRequest per Arrival (live recording) or RequestSummary
+ * (compacted recording) record, draining every other kind on the
+ * way, so once it is exhausted the cursor has read — and a
+ * SegmentReader verified — the whole recording. A trace whose length
+ * differs from TraceBegin's announced count throws
+ * std::runtime_error when it runs dry.
+ */
+template <typename Cursor>
+class TraceDecoder : public serve::RequestSource
+{
+  public:
+    explicit TraceDecoder(Cursor &cursor) : cursor_(cursor)
+    {
+        // The header is bounded (setup-sized), so it is buffered.
+        std::vector<JournalEvent> header;
+        JournalEvent e;
+        while (cursor_.next(e)) {
+            const bool trace_begin = e.kind == EventKind::TraceBegin;
+            header.push_back(std::move(e));
+            if (trace_begin)
+                break;
+        }
+        announced_ = parseHeaderRecords(header, setup_);
+    }
+
+    bool
+    next(serve::ServeRequest &out) override
+    {
+        JournalEvent e;
+        while (cursor_.next(e)) {
+            if (e.kind != EventKind::Arrival &&
+                e.kind != EventKind::RequestSummary)
+                continue;
+            if (e.a != decoded_)
+                throw std::runtime_error(
+                    std::string("Replayer: ") + eventKindName(e.kind) +
+                    " records out of trace order");
+            out.tenant = static_cast<std::size_t>(e.b);
+            if (e.kind == EventKind::Arrival) {
+                out.arrival = e.cycle;
+                out.input = std::move(e.values);
+            } else {
+                // A compacted recording carries one summary per
+                // request instead of its event group; the summary's
+                // values open with {arrival, start, mvms, completed}
+                // and carry the input words after them.
+                if (e.values.size() < 4)
+                    throw std::runtime_error(
+                        "Replayer: malformed request_summary record");
+                compacted_ = true;
+                out.arrival = static_cast<WallNs>(e.values[0]);
+                out.input.assign(e.values.begin() + 4, e.values.end());
+            }
+            ++decoded_;
+            return true;
+        }
+        if (announced_ != kStreamedTraceCount && decoded_ != announced_)
+            throw std::runtime_error(
+                "Replayer: trace_begin announces " +
+                std::to_string(announced_) + " requests, journal carries " +
+                std::to_string(decoded_));
+        return false;
+    }
+
+    const ServeRunSetup &setup() const { return setup_; }
+    /** TraceBegin's count (possibly kStreamedTraceCount). */
+    u64 announced() const { return announced_; }
+    /** True once a RequestSummary record was decoded. */
+    bool compacted() const { return compacted_; }
+
+  private:
+    Cursor &cursor_;
+    ServeRunSetup setup_;
+    u64 announced_ = 0;
+    u64 decoded_ = 0;
+    bool compacted_ = false;
+};
+
+/** JournalSink forwarding every replayed record into a Compactor,
+ *  so the compacted form of the replayed stream builds alongside
+ *  the live form in the same pass. */
+class CompactingTee : public JournalSink
+{
+  public:
+    explicit CompactingTee(Compactor &compactor)
+        : compactor_(compactor)
+    {
+    }
+
+    void onRecord(const JournalEvent &event, std::size_t /*index*/,
+                  u64 /*checksum*/,
+                  const std::vector<unsigned char> & /*encoded*/)
+        override
+    {
+        compactor_.push(event);
+    }
+
+  private:
+    Compactor &compactor_;
+};
+
+/**
+ * The one replay path behind Replayer and replaySegments: re-drive
+ * the decoded setup through driveRun with the recorded TraceBegin
+ * count, pulling the trace through `trace`, while the Compactor
+ * builds the compacted form of the replayed stream in the same pass.
+ * Returns the replayed report; `replayed` receives the replayed
+ * stream in the recording's form — the live stream, or its
+ * compaction when the recording is compacted. `retain` keeps the
+ * replayed records in memory (for a per-event comparison); without
+ * it both forms are chain accumulators and the replay runs at flat
+ * memory.
+ */
+template <typename Cursor>
+serve::ServeReport
+redrive(TraceDecoder<Cursor> &trace, bool retain, Journal &replayed)
+{
+    Journal live;
+    Journal compact;
+    compact.attachSink(nullptr, retain);
+    Compactor compactor(compact);
+    CompactingTee tee(compactor);
+    live.attachSink(&tee, retain);
+
+    // The recording's Complete records already carry every output's
+    // checksum, so replay never collects the output vectors (and
+    // runStream refuses to).
+    serve::AdmissionConfig admission = trace.setup().admission;
+    admission.collectOutputs = false;
+
+    serve::ServeReport report =
+        driveRun(trace.setup(), admission, live, trace.announced(),
+                 [&trace](serve::AdmissionController &ctrl) {
+                     return ctrl.runStream(trace);
+                 });
+    compactor.finish();
+    live.attachSink(nullptr, retain); // the tee dies with this frame
+    replayed = std::move(trace.compacted() ? compact : live);
+    return report;
+}
+
 } // namespace
 
 serve::PoolConfig
@@ -413,7 +558,7 @@ ServeRunSetup::poolConfig() const
             throw std::invalid_argument(
                 "ServeRunSetup: a uniform pool runs at the default "
                 "clock; use uniformPool=false for a custom one");
-        cfg.chip = slotChipConfig(first);
+        cfg.chip = slotSpec(first).chip;
         cfg.numChips = slots.size();
     } else {
         cfg.chips.reserve(slots.size());
@@ -437,86 +582,44 @@ recordServeRun(const ServeRunSetup &setup,
 {
     ServeRunRecord rec;
     rec.trace = trace;
-    rec.report = driveRun(setup, rec.journal, trace.size(),
+    rec.report = driveRun(setup, setup.admission, rec.journal,
+                          trace.size(),
                           [&trace](serve::AdmissionController &ctrl) {
                               return ctrl.run(trace);
                           });
     return rec;
 }
 
+serve::ServeReport
+recordServeRunStream(const ServeRunSetup &setup,
+                     serve::RequestSource &source, Journal &jr)
+{
+    if (!jr.empty())
+        throw std::invalid_argument(
+            "recordServeRunStream: journal must be empty");
+    return driveRun(setup, setup.admission, jr, kStreamedTraceCount,
+                    [&source](serve::AdmissionController &ctrl) {
+                        return ctrl.runStream(source);
+                    });
+}
+
 Replayer::Replayer(Journal recorded) : recorded_(std::move(recorded))
 {
-    const std::vector<JournalEvent> &ev = recorded_.events();
-    std::size_t i = 0;
-    const u64 announced = parseHeaderRecords(ev, i, setup_);
-    streamed_ = announced == kStreamedTraceCount;
-
-    trace_.clear();
-    if (!streamed_)
-        trace_.reserve(static_cast<std::size_t>(announced));
-    for (; i < ev.size(); ++i) {
-        const JournalEvent &e = ev[i];
-        if (e.kind == EventKind::Arrival) {
-            if (e.a != trace_.size())
-                throw std::runtime_error(
-                    "Replayer: arrival records out of trace order");
-            serve::ServeRequest req;
-            req.arrival = e.cycle;
-            req.tenant = static_cast<std::size_t>(e.b);
-            req.input = e.values;
-            trace_.push_back(std::move(req));
-        } else if (e.kind == EventKind::RequestSummary) {
-            // A compacted journal carries one summary per request
-            // instead of its event group; the summary's values open
-            // with {arrival, start, mvms, completed} and carry the
-            // input words after them, so the trace rebuilds all the
-            // same.
-            if (e.a != trace_.size())
-                throw std::runtime_error(
-                    "Replayer: request_summary records out of trace "
-                    "order");
-            if (e.values.size() < 4)
-                throw std::runtime_error(
-                    "Replayer: malformed request_summary record");
-            serve::ServeRequest req;
-            req.arrival = static_cast<WallNs>(e.values[0]);
-            req.tenant = static_cast<std::size_t>(e.b);
-            req.input.assign(e.values.begin() + 4, e.values.end());
-            trace_.push_back(std::move(req));
-        }
-    }
-    if (!streamed_ && trace_.size() != announced)
-        throw std::runtime_error(
-            "Replayer: trace_begin announces " +
-            std::to_string(announced) +
-            " requests, journal carries " +
-            std::to_string(trace_.size()));
+    EventCursor cursor(recorded_);
+    TraceDecoder<EventCursor> decoder(cursor);
+    setup_ = decoder.setup();
+    serve::ServeRequest req;
+    while (decoder.next(req))
+        trace_.push_back(std::move(req));
 }
 
 Replayer::Result
 Replayer::replay() const
 {
+    EventCursor cursor(recorded_);
+    TraceDecoder<EventCursor> decoder(cursor);
     Result result;
-    if (streamed_) {
-        // Re-drive through the streaming path so the replayed
-        // TraceBegin carries the same sentinel and the two event
-        // streams compare record for record. (A *compacted*
-        // recording replays to the full event stream and mismatches
-        // here by construction; replaySegments() is the compacted
-        // comparison.)
-        serve::VectorSource source(trace_);
-        result.report =
-            driveRun(setup_, result.journal, kStreamedTraceCount,
-                     [&source](serve::AdmissionController &ctrl) {
-                         return ctrl.runStream(source);
-                     });
-    } else {
-        result.report =
-            driveRun(setup_, result.journal, trace_.size(),
-                     [this](serve::AdmissionController &ctrl) {
-                         return ctrl.run(trace_);
-                     });
-    }
+    result.report = redrive(decoder, /*retain=*/true, result.journal);
 
     const std::vector<JournalEvent> &want = recorded_.events();
     const std::vector<JournalEvent> &got =
@@ -538,172 +641,26 @@ Replayer::replay() const
             " events, replay produced " + std::to_string(got.size());
         return result;
     }
-    if (recorded_.chainChecksum() != result.journal.chainChecksum()) {
-        result.firstMismatch = want.size();
-        result.detail =
-            "event streams match but chain checksums differ";
-        return result;
-    }
     result.identical = true;
     result.firstMismatch = want.size();
     return result;
 }
 
-serve::ServeReport
-recordServeRunStream(const ServeRunSetup &setup,
-                     serve::RequestSource &source, Journal &jr)
-{
-    if (!jr.empty())
-        throw std::invalid_argument(
-            "recordServeRunStream: journal must be empty");
-    return driveRun(setup, jr, kStreamedTraceCount,
-                    [&source](serve::AdmissionController &ctrl) {
-                        return ctrl.runStream(source);
-                    });
-}
-
-namespace
-{
-
-/**
- * Pull-based trace over a segment stream: yields one ServeRequest
- * per Arrival (live recording) or RequestSummary (compacted
- * recording) record, draining every other record kind on the way —
- * so when the source is exhausted the reader has verified the whole
- * chain.
- */
-class SegmentTraceSource : public serve::RequestSource
-{
-  public:
-    explicit SegmentTraceSource(SegmentReader &reader)
-        : reader_(reader)
-    {
-    }
-
-    bool next(serve::ServeRequest &out) override
-    {
-        JournalEvent e;
-        while (reader_.next(e)) {
-            if (e.kind == EventKind::Arrival) {
-                if (e.a != next_)
-                    throw std::runtime_error(
-                        "replaySegments: arrival records out of "
-                        "trace order");
-                out.arrival = e.cycle;
-                out.tenant = static_cast<std::size_t>(e.b);
-                out.input = std::move(e.values);
-                ++next_;
-                return true;
-            }
-            if (e.kind == EventKind::RequestSummary) {
-                if (e.a != next_)
-                    throw std::runtime_error(
-                        "replaySegments: request_summary records "
-                        "out of trace order");
-                if (e.values.size() < 4)
-                    throw std::runtime_error(
-                        "replaySegments: malformed request_summary "
-                        "record");
-                sawSummary_ = true;
-                out.arrival = static_cast<WallNs>(e.values[0]);
-                out.tenant = static_cast<std::size_t>(e.b);
-                out.input.assign(e.values.begin() + 4,
-                                 e.values.end());
-                ++next_;
-                return true;
-            }
-        }
-        return false;
-    }
-
-    bool sawSummary() const { return sawSummary_; }
-
-  private:
-    SegmentReader &reader_;
-    u64 next_ = 0;
-    bool sawSummary_ = false;
-};
-
-/** JournalSink forwarding every replayed record into a Compactor,
- *  so the compacted form of the replayed stream builds alongside
- *  the live form in the same pass. */
-class CompactingTee : public JournalSink
-{
-  public:
-    explicit CompactingTee(Compactor &compactor)
-        : compactor_(compactor)
-    {
-    }
-
-    void onRecord(const JournalEvent &event, std::size_t /*index*/,
-                  u64 /*checksum*/,
-                  const std::vector<unsigned char> & /*encoded*/)
-        override
-    {
-        compactor_.push(event);
-    }
-
-  private:
-    Compactor &compactor_;
-};
-
-} // namespace
-
 SegmentReplayResult
 replaySegments(const std::string &dir)
 {
     SegmentReader reader(dir);
-
-    // The header is bounded (setup-sized); stream it out of the
-    // segments and parse it like the in-memory replayer does.
-    std::vector<JournalEvent> header;
-    bool saw_trace_begin = false;
-    {
-        JournalEvent e;
-        while (reader.next(e)) {
-            const bool is_tb = e.kind == EventKind::TraceBegin;
-            header.push_back(std::move(e));
-            if (is_tb) {
-                saw_trace_begin = true;
-                break;
-            }
-        }
-    }
-    if (!saw_trace_begin)
-        throw std::runtime_error(
-            "replaySegments: recording has no trace_begin record");
-    ServeRunSetup setup;
-    std::size_t cursor = 0;
-    const u64 announced = parseHeaderRecords(header, cursor, setup);
-
-    // Re-drive with the recorded arrivals streamed back in,
-    // building the live chain and (through the tee) the compacted
-    // chain in one pass — both at flat memory.
-    SegmentTraceSource source(reader);
-    Journal live;
-    Journal compact_out;
-    compact_out.attachSink(nullptr, /*retainEvents=*/false);
-    Compactor compactor(compact_out);
-    CompactingTee tee(compactor);
-    live.attachSink(&tee, /*retainEvents=*/false);
-
+    TraceDecoder<SegmentReader> decoder(reader);
+    Journal replayed;
     SegmentReplayResult result;
-    result.report =
-        driveRun(setup, live, announced,
-                 [&source](serve::AdmissionController &ctrl) {
-                     return ctrl.runStream(source);
-                 });
-    compactor.finish();
+    result.report = redrive(decoder, /*retain=*/false, replayed);
 
-    // The source drained the reader to end of stream, so its chain
+    // The decoder drained the reader to end of stream, so its chain
     // now covers the whole recording.
     result.recordedChain = reader.chainChecksum();
     result.recordedRecords = reader.recordIndex();
-    const bool compacted = source.sawSummary();
-    result.replayedChain = compacted ? compact_out.chainChecksum()
-                                     : live.chainChecksum();
-    const std::size_t replayed_records =
-        compacted ? compact_out.size() : live.size();
+    result.replayedChain = replayed.chainChecksum();
+    const std::size_t replayed_records = replayed.size();
     result.identical =
         result.replayedChain == result.recordedChain &&
         replayed_records == result.recordedRecords;
@@ -714,7 +671,7 @@ replaySegments(const std::string &dir)
             std::to_string(result.recordedChain) + "), replayed " +
             std::to_string(replayed_records) + " (chain " +
             std::to_string(result.replayedChain) + ", " +
-            (compacted ? "compacted" : "live") + " form)";
+            (decoder.compacted() ? "compacted" : "live") + " form)";
     return result;
 }
 

@@ -7,15 +7,20 @@
  * journal that is *self-describing*: its header records (RunBegin,
  * PoolChip, AdmissionSetup, TenantSetup) carry the factory inputs of
  * every component and its Arrival records carry the full input of
- * every request. Replayer then reconstructs the run from the journal
- * alone: it re-builds the pool and admission controller from the
- * parsed setup, re-drives admission with the recorded arrival
- * sequence, and compares the *entire* re-recorded event stream —
- * every placement decision, admission cycle, stage completion, and
- * output checksum — against the recorded one. Any divergence (a
- * config field the journal failed to capture, a nondeterminism bug,
- * a behavior change since recording) surfaces as a named first
- * mismatching event, never as silently different results. Crash
+ * every request. Replayer (a retained journal) and replaySegments (a
+ * segment directory, at flat memory) then reconstruct the run from
+ * the recording alone, through one replay path: one decoder parses
+ * the header and pulls the trace out of the Arrival records — or,
+ * on a compacted recording, out of its RequestSummary records —
+ * while the pool and admission controller, re-built from the parsed
+ * setup, re-drive it; the *entire* re-recorded event stream — every
+ * placement decision, admission cycle, stage completion, and output
+ * checksum — is then compared, in the recording's own form (live,
+ * or compacted on the fly), against the recorded one. Any
+ * divergence (a config field the journal failed to capture, a
+ * nondeterminism bug, a behavior change since recording) surfaces as
+ * a named first mismatching event (or, for replaySegments, a chain
+ * mismatch), never as silently different results. Crash
  * recovery and postmortem debugging are the same mechanism: the
  * journal is sufficient to reproduce the run, and the comparison
  * proves it.
@@ -53,9 +58,8 @@ namespace journal
  * TraceBegin `a` sentinel of a streamed recording: the request count
  * is unknown when the header is written (the source is pull-based),
  * so the record announces "until end of stream" instead. Replay
- * accepts either form; the sentinel additionally tells the replayer
- * to re-drive through AdmissionController::runStream so the replayed
- * stream carries the same sentinel.
+ * accepts either form and passes the recorded one through, so the
+ * replayed stream carries the same announcement.
  */
 constexpr u64 kStreamedTraceCount = ~u64{0};
 
@@ -192,14 +196,13 @@ struct SegmentReplayResult
 };
 
 /**
- * Replay a segmented recording from `dir` at flat memory: stream the
- * header out of the segments, rebuild the setup, re-drive the run
- * with the recorded arrivals streamed back in (runStream, matching
- * the recording path), and prove bit-identity by FNV chain checksum
- * and record count — of the live stream against a live recording, or
- * of the Compactor-transformed stream against a compacted recording
- * (detected by its RequestSummary records). Throws
- * std::runtime_error on a malformed or unreadable directory.
+ * Replay a segmented recording from `dir` at flat memory, streaming
+ * its records through the replay path (see the file comment), and
+ * prove bit-identity by FNV chain checksum and record count — of the
+ * live stream against a live recording, or of the compacted stream
+ * against a compacted recording (detected by its RequestSummary
+ * records). Throws std::runtime_error on a malformed or unreadable
+ * directory.
  */
 SegmentReplayResult replaySegments(const std::string &dir);
 
@@ -210,11 +213,11 @@ SegmentReplayResult replaySegments(const std::string &dir);
 class Replayer
 {
   public:
-    /** Parses the setup and arrival trace out of a recorded journal;
-     *  throws std::runtime_error on a malformed or incomplete one. */
+    /** Parses the setup and arrival trace out of a recorded journal
+     *  (live or compacted); throws std::runtime_error on a malformed
+     *  or incomplete one. */
     explicit Replayer(Journal recorded);
 
-    const Journal &recorded() const { return recorded_; }
     const ServeRunSetup &setup() const { return setup_; }
     /** The arrival sequence, rebuilt from the Arrival records — or,
      *  on a compacted recording, from its RequestSummary records
@@ -224,15 +227,13 @@ class Replayer
         return trace_;
     }
 
-    /** True when the recording was streamed (TraceBegin carries
-     *  kStreamedTraceCount); replay() then re-drives through
-     *  runStream so the streams compare record for record. */
-    bool streamed() const { return streamed_; }
-
     struct Result
     {
+        /** The replayed run's report; output vectors are never
+         *  collected (the journal carries their checksums). */
         serve::ServeReport report;
-        /** The re-recorded journal. */
+        /** The re-recorded journal, in the recording's form (the
+         *  compacted stream when the recording is compacted). */
         Journal journal;
         /** True when the replayed event stream (and so every cycle
          *  stamp and checksum) matches the recorded one exactly. */
@@ -254,7 +255,6 @@ class Replayer
     Journal recorded_;
     ServeRunSetup setup_;
     std::vector<serve::ServeRequest> trace_;
-    bool streamed_ = false;
 };
 
 } // namespace journal

@@ -87,13 +87,7 @@ SegmentWriter::onRecord(const JournalEvent &event, std::size_t index,
     (void)event;
     if (!open_)
         openSegment(segmentsOpened_, index, chain_);
-    std::vector<unsigned char> buf;
-    buf.reserve(12 + encoded.size());
-    appendLeU32(buf, static_cast<u32>(encoded.size()));
-    buf.insert(buf.end(), encoded.begin(), encoded.end());
-    appendLeU64(buf, checksum);
-    out_.write(reinterpret_cast<const char *>(buf.data()),
-               static_cast<std::streamsize>(buf.size()));
+    const std::size_t written = writeRecord(out_, encoded, checksum);
     if (!out_)
         throw std::runtime_error(
             "journal: write to segment " +
@@ -101,7 +95,7 @@ SegmentWriter::onRecord(const JournalEvent &event, std::size_t index,
             " failed");
     chain_ = checksum;
     ++recordsWritten_;
-    currentBytes_ += buf.size();
+    currentBytes_ += written;
     if (currentBytes_ >= maxSegmentBytes_) {
         out_.flush();
         if (!out_)

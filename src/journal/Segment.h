@@ -28,8 +28,8 @@
  *   u64 segment index (0-based, must be sequential)
  *   u64 base record index (global index of the first record)
  *   u64 carry checksum (chain value before the first record)
- *   then records until EOF: u32 record length, canonical record
- *   bytes, u64 chained checksum
+ *   then records until EOF, framed by journal::writeRecord: u32
+ *   record length, canonical record bytes, u64 chained checksum
  *
  * Compactor turns a finished event stream into its compacted form:
  * each completed (or rejected) request's whole event group —
@@ -39,8 +39,8 @@
  * kind passes through unchanged. Summaries are emitted in request-
  * index order, so compaction is a deterministic function of the
  * event stream and a replayed stream compacts to the byte-identical
- * compacted journal (how Replayer::replaySegments verifies compacted
- * recordings).
+ * compacted journal (how replay verifies compacted recordings, see
+ * journal/Replayer.h).
  */
 
 #ifndef DARTH_JOURNAL_SEGMENT_H

@@ -272,7 +272,7 @@ class AdmissionController
      * lazy order, but only on runs of more than 65536 requests —
      * run() shares the bound, so no trace of at most 65536 requests
      * is affected — and the reordering is itself deterministic
-     * (Replayer::replaySegments replays through this same loop).
+     * (journal::replaySegments replays through this same loop).
      * collectOutputs needs O(requests) memory and throws
      * std::invalid_argument here.
      */

@@ -266,12 +266,17 @@ TEST(JournalSegment, CompactionPreservesReplayBitIdentity)
     EXPECT_EQ(res.report.outputChecksum, live.outputChecksum);
     EXPECT_EQ(res.report.completed, live.completed);
 
-    // And the compacted journal still parses into a Replayer (the
-    // RequestSummary records carry each request's arrival + input).
+    // And the compacted journal replays identically through the
+    // in-memory entry point too (the RequestSummary records carry
+    // each request's arrival + input).
     const Replayer replayer(readSegmentedJournal(dst));
-    EXPECT_TRUE(replayer.streamed());
     EXPECT_EQ(replayer.trace().size(),
               live.completed + live.rejected);
+    const Replayer::Result mem = replayer.replay();
+    EXPECT_TRUE(mem.identical) << mem.detail;
+    EXPECT_TRUE(mem.detail.empty()) << mem.detail;
+    EXPECT_EQ(mem.journal.chainChecksum(), comp.chainChecksum);
+    EXPECT_EQ(mem.report.outputChecksum, live.outputChecksum);
 }
 
 TEST(JournalSegment, StreamedRecordingMatchesVectorRecording)

@@ -262,6 +262,34 @@ TEST(ReplayerTest, RejectsMalformedJournals)
         ASSERT_FALSE(rec.trace.empty());
         EXPECT_THROW(Replayer{std::move(truncated)},
                      std::runtime_error);
+
+        // Chain-valid journals announcing hostile counts: a trace of
+        // 2^40 or 2^62 requests, or a pool of (size_t)-1 slots.
+        // Nothing is sized from an announcement, so each fails as
+        // the journal running out of records, never as an
+        // allocation failure.
+        auto rewrite = [&rec](EventKind kind, auto &&edit) {
+            Journal out;
+            for (std::size_t i = 0; i < rec.journal.size(); ++i) {
+                JournalEvent e = rec.journal.event(i);
+                if (e.kind == kind)
+                    edit(e);
+                out.append(std::move(e));
+            }
+            return out;
+        };
+        for (const u64 count : {u64{1} << 40, u64{1} << 62})
+            EXPECT_THROW(Replayer{rewrite(EventKind::TraceBegin,
+                                          [count](JournalEvent &e) {
+                                              e.a = count;
+                                          })},
+                         std::runtime_error)
+                << "announced " << count << " requests";
+        EXPECT_THROW(Replayer{rewrite(EventKind::RunBegin,
+                                      [](JournalEvent &e) {
+                                          e.values[1] = -1;
+                                      })},
+                     std::runtime_error);
     }
 }
 
