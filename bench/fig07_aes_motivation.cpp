@@ -11,7 +11,8 @@
  * MixColumns rate proportional to a). Component costs per block are
  * derived from the simulator's synthesized kernel costs; the
  * digital-MixColumns gate counts are the calibrated constants
- * documented below (see EXPERIMENTS.md).
+ * documented below (see docs/benchmarks.md, "Parameter
+ * substitutions").
  */
 
 #include <algorithm>

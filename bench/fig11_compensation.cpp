@@ -112,6 +112,6 @@ main()
                 "cancels wire current only when the stored signs are "
                 "balanced; the sparse MixColumns matrix relies on the "
                 "compensation factor + low wire resistance instead "
-                "(see EXPERIMENTS.md).\n");
+                "(see docs/benchmarks.md, Parameter substitutions).\n");
     return 0;
 }

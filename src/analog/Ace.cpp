@@ -73,6 +73,12 @@ Ace::setMatrix(const MatrixI &m, int element_bits, int bits_per_cell)
         1, static_cast<std::size_t>(adc_max / std::max<i64>(max_cell, 1)));
     rowsPerGroup_ = std::min(rowsPerGroup_, rowsPerTile_);
     rowGroups_ = (rowsPerTile_ + rowsPerGroup_ - 1) / rowsPerGroup_;
+    // The last row tile may be short and drive fewer groups.
+    groupsPerSlice_ = 0;
+    for (std::size_t r0 = 0; r0 < m.rows(); r0 += rowsPerTile_)
+        groupsPerSlice_ +=
+            (std::min(rowsPerTile_, m.rows() - r0) + rowsPerGroup_ - 1) /
+            rowsPerGroup_;
 
     // Ramp sweep length for this operating point. An explicit
     // rampStates wins; otherwise auto-termination sweeps only the
@@ -186,7 +192,7 @@ Ace::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
 }
 
 void
-Ace::idealPartial(const std::vector<int> &bits, int s,
+Ace::idealPartial(const std::vector<i64> &x, int bit, int s,
                   std::size_t row_lo, std::size_t row_hi,
                   i64 *out) const
 {
@@ -198,7 +204,7 @@ Ace::idealPartial(const std::vector<int> &bits, int s,
     for (std::size_t c0 = 0; c0 < cols; c0 += kCodeBlock) {
         i32 acc[kCodeBlock] = {};
         for (std::size_t r = row_lo; r < row_hi; ++r) {
-            if (bits[r] == 0)
+            if (((static_cast<u64>(x[r]) >> bit) & 1ULL) == 0)
                 continue;
             const i16 *__restrict w = slice + r * codeStride_ + c0;
             for (std::size_t c = 0; c < kCodeBlock; ++c)
@@ -214,21 +220,24 @@ void
 Ace::execMvmInto(const std::vector<i64> &x, int input_bits, Cycle start,
                  std::vector<PartialProduct> &stream)
 {
+    scheduleMvm(x, input_bits, start, stream);
+    fillValues(x, input_bits, stream, 0);
+}
+
+void
+Ace::scheduleMvm(const std::vector<i64> &x, int input_bits, Cycle start,
+                 std::vector<PartialProduct> &stream)
+{
     if (!hasMatrix())
         darth_fatal("Ace::execMvm: no matrix programmed");
     if (x.size() != matrix_.rows())
         darth_fatal("Ace::execMvm: input length ", x.size(),
                     " != matrix rows ", matrix_.rows());
-
-    const auto planes = sliceInput(x, input_bits);
+    const bool negative = checkInputRange(x, input_bits);
     const std::size_t cols = matrix_.cols();
-    const bool ideal = !cellCodes_.empty();
-    stream.reserve(planes.size() * static_cast<std::size_t>(slices_) *
-                   rowTiles_ * rowGroups_);
-    std::size_t produced = 0;
+    stream.resize(static_cast<std::size_t>(input_bits) *
+                  static_cast<std::size_t>(slices_) * groupsPerSlice_);
 
-    Cycle array_free = start;
-    Cycle adc_free = start;
     // Resolve the tally accumulators once per MVM; the per-plane and
     // per-group charges below then skip the string-keyed map lookup.
     // Safe within one call: nothing clears the tally mid-MVM.
@@ -242,24 +251,26 @@ Ace::execMvmInto(const std::vector<i64> &x, int input_bits, Cycle start,
         t_sh = &tally_->entry("ace.sh");
         t_adc = &tally_->entry("ace.adc");
     }
-    // Scratch buffers reused across every tile of every plane (the
-    // crossbar path only).
-    std::vector<int> bits;
-    std::vector<double> v_scratch;
-    std::vector<double> analog;
-    for (const auto &plane : planes) {
+    const Cycle conv_latency =
+        adc_.conversionLatency(cols, cfg_.numAdcs, rampSweepStates_);
+    const double conv_energy =
+        adc_.conversionEnergy(cols, cfg_.numAdcs, rampSweepStates_);
+    const double arrays =
+        static_cast<double>(slices_ * rowTiles_ * colTiles_);
+
+    Cycle array_free = start;
+    Cycle adc_free = start;
+    auto pp = stream.begin();
+    for (int bit = 0; bit < input_bits; ++bit) {
         // Drive the wordlines with this bit plane; all arrays of all
         // slices sample concurrently.
         const Cycle sampled =
             array_free + cfg_.dacApplyCycles + cfg_.settleCycles;
         array_free = sampled;
-
-        std::size_t active_rows = 0;
-        for (int b : plane.bits)
-            active_rows += static_cast<std::size_t>(b != 0);
         if (tally_ != nullptr) {
-            const double arrays =
-                static_cast<double>(slices_ * rowTiles_ * colTiles_);
+            std::size_t active_rows = 0;
+            for (i64 v : x)
+                active_rows += (static_cast<u64>(v) >> bit) & 1ULL;
             t_dac->events += 1;
             t_dac->cycles += cfg_.dacApplyCycles;
             t_dac->energy += static_cast<double>(active_rows) *
@@ -272,66 +283,89 @@ Ace::execMvmInto(const std::vector<i64> &x, int input_bits, Cycle start,
                             cfg_.sampleHoldEnergyPJ *
                             static_cast<double>(slices_ * rowTiles_);
         }
+        for (int s = 0; s < slices_; ++s) {
+            for (std::size_t g = 0; g < groupsPerSlice_; ++g, ++pp) {
+                pp->shift = bit + s * bitsPerCell_;
+                pp->negate = negative && bit == input_bits - 1;
+                // Conversions serialize on the shared ADCs.
+                pp->convStart = std::max(adc_free, sampled);
+                pp->readyAt = pp->convStart + conv_latency;
+                adc_free = pp->readyAt;
+                if (tally_ != nullptr) {
+                    t_adc->events += 1;
+                    t_adc->cycles += conv_latency;
+                    t_adc->energy += conv_energy;
+                }
+            }
+        }
+    }
+}
 
+void
+Ace::fillValues(const std::vector<i64> &x, int input_bits,
+                std::vector<PartialProduct> &stream, std::size_t first)
+{
+    const std::size_t cols = matrix_.cols();
+    const bool ideal = idealArrays();
+    // Scratch buffers reused across every tile of every plane (the
+    // crossbar path only).
+    std::vector<int> bits;
+    std::vector<double> v_scratch;
+    std::vector<double> analog;
+    std::size_t index = 0;
+    for (int bit = 0; bit < input_bits; ++bit) {
         for (int s = 0; s < slices_; ++s) {
             for (std::size_t rt = 0; rt < rowTiles_; ++rt) {
                 const std::size_t r0 = rt * rowsPerTile_;
                 const std::size_t nr =
                     std::min(rowsPerTile_, matrix_.rows() - r0);
-                for (std::size_t g = 0; g < rowGroups_; ++g) {
-                    const std::size_t gr0 = g * rowsPerGroup_;
-                    if (gr0 >= nr)
+                for (std::size_t gr0 = 0; gr0 < nr;
+                     gr0 += rowsPerGroup_) {
+                    if (index++ < first)
                         continue;
                     const std::size_t gnr =
                         std::min(rowsPerGroup_, nr - gr0);
-
-                    if (produced == stream.size())
-                        stream.emplace_back();
-                    PartialProduct &pp = stream[produced++];
-                    pp.shift = plane.bit + s * bitsPerCell_;
-                    pp.negate = plane.negate;
-                    pp.values.resize(cols);
-
+                    std::vector<i64> &values = stream[index - 1].values;
+                    values.resize(cols);
                     if (ideal) {
-                        idealPartial(plane.bits, s, r0 + gr0,
-                                     r0 + gr0 + gnr, pp.values.data());
-                    } else {
-                        // The group's wordline drive is the same for
-                        // every column tile of the row tile.
-                        bits.assign(nr, 0);
-                        for (std::size_t r = 0; r < gnr; ++r)
-                            bits[gr0 + r] = plane.bits[r0 + gr0 + r];
-                        for (std::size_t ct = 0; ct < colTiles_; ++ct) {
-                            xbar(s, rt, ct).mvmBitInputInto(
-                                bits, v_scratch, analog);
-                            const std::size_t c0 = ct * colsPerTile_;
-                            for (std::size_t c = 0; c < analog.size();
-                                 ++c)
-                                pp.values[c0 + c] =
-                                    adc_.convert(analog[c]);
-                        }
+                        idealPartial(x, bit, s, r0 + gr0,
+                                     r0 + gr0 + gnr, values.data());
+                        continue;
                     }
-
-                    // Conversions serialize on the shared ADCs.
-                    const Cycle conv_start = std::max(adc_free, sampled);
-                    const Cycle conv_done =
-                        conv_start +
-                        adc_.conversionLatency(cols, cfg_.numAdcs,
-                                               rampSweepStates_);
-                    adc_free = conv_done;
-                    pp.convStart = conv_start;
-                    pp.readyAt = conv_done;
-                    if (tally_ != nullptr) {
-                        t_adc->events += 1;
-                        t_adc->cycles += conv_done - conv_start;
-                        t_adc->energy += adc_.conversionEnergy(
-                            cols, cfg_.numAdcs, rampSweepStates_);
+                    // The group's wordline drive is the same for every
+                    // column tile of the row tile.
+                    bits.assign(nr, 0);
+                    for (std::size_t r = 0; r < gnr; ++r)
+                        bits[gr0 + r] = static_cast<int>(
+                            (static_cast<u64>(x[r0 + gr0 + r]) >> bit) &
+                            1ULL);
+                    for (std::size_t ct = 0; ct < colTiles_; ++ct) {
+                        xbar(s, rt, ct).mvmBitInputInto(bits, v_scratch,
+                                                        analog);
+                        const std::size_t c0 = ct * colsPerTile_;
+                        for (std::size_t c = 0; c < analog.size(); ++c)
+                            values[c0 + c] = adc_.convert(analog[c]);
                     }
                 }
             }
         }
     }
-    stream.resize(produced);
+}
+
+void
+Ace::exactProduct(const std::vector<i64> &x, u64 *out) const
+{
+    const std::size_t cols = matrix_.cols();
+    std::fill(out, out + cols, u64{0});
+    const i64 *w = matrix_.data().data();
+    for (std::size_t r = 0; r < matrix_.rows(); ++r) {
+        if (x[r] == 0)
+            continue;
+        const u64 xr = static_cast<u64>(x[r]);
+        const i64 *__restrict row = w + r * cols;
+        for (std::size_t c = 0; c < cols; ++c)
+            out[c] += xr * static_cast<u64>(row[c]);
+    }
 }
 
 std::vector<i64>

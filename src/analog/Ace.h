@@ -23,6 +23,19 @@
  * within ~1e-11 LSB of it), so execMvm() computes the codes from an
  * integer copy of the slices instead of solving each crossbar; the
  * crossbars are still programmed, and timing and tallies are the same.
+ *
+ * On ideal arrays the clamp never fires: setMatrix() sizes row groups
+ * so that rowsPerGroup * max_cell <= maxCode < -minCode. The stream
+ * therefore reduces exactly — sum of +-(code << shift) over every
+ * partial product is x.W, because the input planes recombine to x
+ * (MSB plane negated when x has negatives) and the slices to W — and
+ * exactProduct() gives that sum directly, modulo 2^64, from the
+ * programmed matrix. An MVM is two separable halves: scheduleMvm()
+ * (each partial product's shift, negate, convStart and readyAt, and
+ * every ace.* tally) and fillValues() (the codes). execMvm() runs
+ * both; the HCT's ideal reduction runs the schedule, fills only the
+ * last partial product (the one its staging register keeps) and takes
+ * the accumulator from exactProduct().
  */
 
 #ifndef DARTH_ANALOG_ACE_H
@@ -163,6 +176,39 @@ class Ace
     void execMvmInto(const std::vector<i64> &x, int input_bits,
                      Cycle start, std::vector<PartialProduct> &stream);
 
+    /**
+     * True when the arrays are noise-free (NoiseModel::ideal()): codes
+     * come from the integer kernel and never clamp, so the stream
+     * reduces to exactProduct().
+     */
+    bool idealArrays() const { return !cellCodes_.empty(); }
+
+    /**
+     * Schedule half of execMvmInto(): resizes the stream to the
+     * partial-product count and sets every entry's shift, negate,
+     * convStart and readyAt, charging every ace.* tally, but leaves
+     * `values` untouched. Checks the input as execMvm() does.
+     */
+    void scheduleMvm(const std::vector<i64> &x, int input_bits,
+                     Cycle start, std::vector<PartialProduct> &stream);
+
+    /**
+     * Value half of execMvmInto(): fills `values` of stream[first..]
+     * for the stream scheduleMvm() sized. Noisy crossbars draw their
+     * read noise in stream order, so a noisy caller fills from 0.
+     */
+    void fillValues(const std::vector<i64> &x, int input_bits,
+                    std::vector<PartialProduct> &stream,
+                    std::size_t first);
+
+    /**
+     * out[c] = sum over rows of x[r] * matrix(r, c), wrapping modulo
+     * 2^64 (out holds cols() words). On ideal arrays this equals the
+     * stream's shift-and-add reduction modulo any 2^k, k <= 64. Zero
+     * inputs are skipped; reads the stored matrix in place.
+     */
+    void exactProduct(const std::vector<i64> &x, u64 *out) const;
+
     /** Exact integer reference of the full MVM (tests). */
     std::vector<i64> referenceMvm(const std::vector<i64> &x) const;
 
@@ -178,10 +224,10 @@ class Ace
 
     /**
      * Ideal-array partial product: out[c] = the ADC code of
-     * sum over rows [row_lo, row_hi) with bits[r] set of slice s's
-     * cell code (r, c), i.e. clamp(sum, minCode, maxCode).
+     * sum over rows [row_lo, row_hi) with bit `bit` of x[r] set of
+     * slice s's cell code (r, c), i.e. clamp(sum, minCode, maxCode).
      */
-    void idealPartial(const std::vector<int> &bits, int s,
+    void idealPartial(const std::vector<i64> &x, int bit, int s,
                       std::size_t row_lo, std::size_t row_hi,
                       i64 *out) const;
 
@@ -199,6 +245,8 @@ class Ace
     std::size_t colsPerTile_ = 0;
     std::size_t rowGroups_ = 1;
     std::size_t rowsPerGroup_ = 0;
+    /** Non-empty (row tile, row group) pairs: partials per slice. */
+    std::size_t groupsPerSlice_ = 0;
     /** Effective ramp sweep length (see rampSweepStates()). */
     Cycle rampSweepStates_ = 0;
     std::vector<std::unique_ptr<Crossbar>> xbars_;

@@ -61,8 +61,8 @@ recombineSlices(const std::vector<MatrixI> &slices, int bits_per_cell)
     return out;
 }
 
-std::vector<InputBitPlane>
-sliceInput(const std::vector<i64> &x, int input_bits)
+bool
+checkInputRange(const std::vector<i64> &x, int input_bits)
 {
     if (input_bits <= 0 || input_bits > 63)
         darth_fatal("sliceInput: input_bits must be in [1, 63]");
@@ -74,7 +74,18 @@ sliceInput(const std::vector<i64> &x, int input_bits)
                 return true;
         return false;
     }();
+    for (i64 v : x)
+        if (v < lo ||
+            (any_negative ? v > hi : v >= (i64{1} << input_bits)))
+            darth_fatal("sliceInput: ", v, " outside ", input_bits,
+                        "-bit range");
+    return any_negative;
+}
 
+std::vector<InputBitPlane>
+sliceInput(const std::vector<i64> &x, int input_bits)
+{
+    const bool any_negative = checkInputRange(x, input_bits);
     std::vector<InputBitPlane> planes;
     planes.reserve(static_cast<std::size_t>(input_bits));
     for (int bit = 0; bit < input_bits; ++bit) {
@@ -82,16 +93,9 @@ sliceInput(const std::vector<i64> &x, int input_bits)
         plane.bit = bit;
         plane.negate = any_negative && bit == input_bits - 1;
         plane.bits.reserve(x.size());
-        for (i64 v : x) {
-            if (v < lo || (any_negative ? v > hi
-                                        : v >= (i64{1} << input_bits)))
-                darth_fatal("sliceInput: ", v, " outside ", input_bits,
-                            "-bit range");
-            const u64 code = static_cast<u64>(v) &
-                             ((u64{1} << input_bits) - 1);
+        for (i64 v : x)
             plane.bits.push_back(
-                static_cast<int>((code >> bit) & 1ULL));
-        }
+                static_cast<int>((static_cast<u64>(v) >> bit) & 1ULL));
         planes.push_back(std::move(plane));
     }
     return planes;

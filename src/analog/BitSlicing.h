@@ -60,8 +60,15 @@ struct InputBitPlane
 };
 
 /**
+ * Check that every input fits `input_bits` bits — two's complement
+ * when any is negative, unsigned otherwise — and return whether any is
+ * negative, i.e. whether the MSB plane subtracts. Fatal otherwise.
+ */
+bool checkInputRange(const std::vector<i64> &x, int input_bits);
+
+/**
  * Decompose signed inputs into bit planes, LSB first. Values must fit
- * in `input_bits` two's complement bits.
+ * in `input_bits` two's complement bits (checkInputRange).
  */
 std::vector<InputBitPlane> sliceInput(const std::vector<i64> &x,
                                       int input_bits);

@@ -7,7 +7,8 @@
  * published specifications, with the offload-link constants (the
  * least-documented parameters) calibrated so the composed systems
  * land in the paper's reported ranges. Every constant is in one place
- * here so the calibration is auditable (see EXPERIMENTS.md).
+ * here so the calibration is auditable (see docs/benchmarks.md,
+ * "Parameter substitutions").
  */
 
 #ifndef DARTH_BASELINES_PARAMS_H

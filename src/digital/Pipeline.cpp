@@ -220,24 +220,52 @@ Pipeline::reserveStages(std::size_t bits, Cycle issue,
     if (bits > cfg_.depth)
         darth_panic("Pipeline: macro over ", bits,
                     " bits exceeds depth ", cfg_.depth);
+    // A chained macro over the affine prefix: closed form (see the
+    // file comment).
+    if (carry_chained && affineSpan_ != 0 && bits == affineSpan_ &&
+        ops_per_stage >= affineSlope_) {
+        const Cycle start = std::max(issue, affineBase_);
+        affineBase_ = start + ops_per_stage;
+        affineSlope_ = ops_per_stage;
+        return start + bits * ops_per_stage;
+    }
+    materializeStages();
     // Control hands the macro to successive arrays one cycle apart; a
     // carry chain additionally forces stage i to wait for stage i-1's
     // full completion.
     Cycle prev_start = issue;
     Cycle prev_done = issue;
     Cycle completion = issue;
+    bool stalled = false;
     for (std::size_t i = 0; i < bits; ++i) {
         const Cycle ready =
             carry_chained ? std::max(issue, prev_done)
                           : std::max(issue, prev_start + (i > 0 ? 1 : 0));
         const Cycle start = std::max(ready, stageFree_[i]);
+        stalled = stalled || (i > 0 && start > ready);
         const Cycle done = start + ops_per_stage;
         stageFree_[i] = done;
         prev_start = start;
         prev_done = done;
         completion = std::max(completion, done);
     }
+    // No stall past stage 0: stage i is now free at stageFree_[0] +
+    // i * ops_per_stage, so the next matching macro takes the closed
+    // form.
+    if (carry_chained && bits != 0 && !stalled) {
+        affineBase_ = stageFree_[0];
+        affineSlope_ = ops_per_stage;
+        affineSpan_ = bits;
+    }
     return completion;
+}
+
+void
+Pipeline::materializeStages()
+{
+    for (std::size_t i = 0; i < affineSpan_; ++i)
+        stageFree_[i] = affineBase_ + i * affineSlope_;
+    affineSpan_ = 0;
 }
 
 void
@@ -413,6 +441,7 @@ Pipeline::execRotate(std::size_t vr, std::size_t k, std::size_t bits,
 
     // Timing (§5.3): drain the whole pipeline, switch to reverse
     // propagation, right-shift by (bits - k), then restore direction.
+    materializeStages();
     const Cycle drained = std::max(issue, drainTime());
     const Cycle shift_cost = 2 * (bits - k);
     const Cycle done = drained + cfg_.depth + shift_cost + cfg_.depth;
@@ -452,6 +481,7 @@ Pipeline::elementLoad(std::size_t dst, std::size_t addr_vr,
 {
     checkReg(dst);
     checkReg(addr_vr);
+    materializeStages();
     Cycle t = std::max(issue, drainTime());
     for (std::size_t elem = 0; elem < cfg_.width; ++elem) {
         const u64 addr = element(addr_vr, elem, bits);
@@ -480,6 +510,7 @@ Pipeline::elementStore(std::size_t src, std::size_t addr_vr,
 {
     checkReg(src);
     checkReg(addr_vr);
+    materializeStages();
     Cycle t = std::max(issue, drainTime());
     for (std::size_t elem = 0; elem < cfg_.width; ++elem) {
         const u64 addr = element(addr_vr, elem, bits);
@@ -503,9 +534,13 @@ Pipeline::elementStore(std::size_t src, std::size_t addr_vr,
 Cycle
 Pipeline::drainTime() const
 {
-    Cycle latest = 0;
-    for (Cycle stage : stageFree_)
-        latest = std::max(latest, stage);
+    // The affine prefix is non-decreasing, so its last stage is its
+    // latest.
+    Cycle latest = affineSpan_ != 0
+                       ? affineBase_ + (affineSpan_ - 1) * affineSlope_
+                       : 0;
+    for (std::size_t i = affineSpan_; i < stageFree_.size(); ++i)
+        latest = std::max(latest, stageFree_[i]);
     return latest;
 }
 

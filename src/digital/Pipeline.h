@@ -14,6 +14,22 @@
  * The pipeline is simultaneously a *functional* simulator (bit columns
  * are evaluated with real gate programs, so results are bit-exact) and
  * a *timing* model (per-stage reservation of array time).
+ *
+ * Stage reservation keeps one free time per stage. A carry-chained
+ * macro starts stage i at start_i = max(start_{i-1} + ops, free_i),
+ * so after one that never stalls past stage 0 the stages it covered
+ * are free at the affine times F_0 + i*ops. The pipeline keeps that
+ * prefix symbolically as (base, slope, span): the next chained macro
+ * over the same span with ops >= slope then starts at
+ * s_0 = max(issue, base), leaves base = s_0 + ops and slope = ops, and
+ * completes at s_0 + span*ops (by induction, start_i = s_0 + i*ops,
+ * since s_0 >= base and ops >= slope), in O(1) instead of a walk over
+ * every stage. This is the MVM reduction's steady state: back-to-back
+ * ADD/SUBs at one accumulator width. Every other macro, rotate,
+ * element load/store and rebase first writes the prefix back into the
+ * per-stage times and walks them as before; drainTime() and
+ * stage0FreeAt() read through it. Completions are identical either
+ * way.
  */
 
 #ifndef DARTH_DIGITAL_PIPELINE_H
@@ -193,8 +209,11 @@ class Pipeline
                        std::size_t bits, Cycle issue);
 
     /** Earliest cycle at which stage 0 can accept a new macro. */
-    Cycle stage0FreeAt() const { return stageFree_.empty() ? 0
-                                                           : stageFree_[0]; }
+    Cycle
+    stage0FreeAt() const
+    {
+        return affineSpan_ != 0 ? affineBase_ : stageFree_[0];
+    }
 
     /** Cycle at which the whole pipeline drains (max stage time). */
     Cycle drainTime() const;
@@ -208,6 +227,7 @@ class Pipeline
     void
     rebase(Cycle when)
     {
+        affineSpan_ = 0;
         for (auto &stage : stageFree_)
             stage = when;
     }
@@ -227,6 +247,9 @@ class Pipeline
     /** Reserve stage time for a macro; returns completion cycle. */
     Cycle reserveStages(std::size_t bits, Cycle issue,
                         Cycle ops_per_stage, bool carry_chained);
+
+    /** Write the affine prefix back into stageFree_ and leave it. */
+    void materializeStages();
 
     /**
      * Functionally evaluate a cached macro column-parallel: the
@@ -253,6 +276,14 @@ class Pipeline
     /** bits_[vr][bit] = column of `width` bits. */
     std::vector<std::vector<BitVector>> bits_;
     std::vector<Cycle> stageFree_;
+    /**
+     * Affine prefix (see the file comment): while affineSpan_ != 0,
+     * stage i < affineSpan_ is free at affineBase_ + i * affineSlope_
+     * and stageFree_[0, affineSpan_) is stale.
+     */
+    Cycle affineBase_ = 0;
+    Cycle affineSlope_ = 0;
+    std::size_t affineSpan_ = 0;
     /** entries_[kind]: resolved KernelCache entry (null until used). */
     std::vector<const KernelCache::Entry *> entries_;
     u64 opCount_ = 0;

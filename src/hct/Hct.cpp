@@ -1,7 +1,6 @@
 #include "hct/Hct.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <vector>
 
@@ -48,7 +47,8 @@ HctConfig::paperDefault(analog::AdcKind adc)
     // ACE->DCE network at 8 B/cycle "chosen to rate-match ADC
     // throughput with DCE write bandwidth"; with 1-cycle SAR
     // conversions of 8-bit codes that requires 8 conversion lanes,
-    // which is the value we adopt (see EXPERIMENTS.md).
+    // which is the value we adopt (see docs/benchmarks.md,
+    // "Parameter substitutions").
     cfg.ace.numAdcs = adc == analog::AdcKind::Sar ? 8 : 1;
     return cfg;
 }
@@ -112,10 +112,21 @@ Hct::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
         darth_fatal("Hct::execMvm: no vACore allocated");
 
     const Cycle analog_start = arbiter_.acquire(Mode::Analog, start);
-    ace_.execMvmInto(x, input_bits, analog_start, stream_);
+    // With shift units on ideal arrays the accumulator comes from one
+    // exact product (see Ace.h), so only the last partial product —
+    // the one the staging register keeps — needs its codes.
+    const bool exact = digitalEnabled_ && cfg_.shiftUnits &&
+                       ace_.idealArrays();
+    if (exact) {
+        ace_.scheduleMvm(x, input_bits, analog_start, stream_);
+        ace_.fillValues(x, input_bits, stream_, stream_.size() - 1);
+    } else {
+        ace_.execMvmInto(x, input_bits, analog_start, stream_);
+    }
     ++mvmCount_;
 
     const std::size_t cols = ace_.matrix().cols();
+    MvmResult result;
     if (!digitalEnabled_) {
         // Raw partial products only: legal when no recombination is
         // needed (single plane, single slice, single group).
@@ -123,7 +134,6 @@ Hct::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
             darth_fatal("Hct::execMvm: DCE post-processing disabled "
                         "but the stream has ", stream_.size(),
                         " partial products");
-        MvmResult result;
         result.values = stream_[0].values;
         result.done = stream_[0].readyAt;
         arbiter_.release(result.done);
@@ -131,20 +141,49 @@ Hct::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
     }
 
     const std::size_t width = cfg_.dce.pipeline.width;
-    const std::size_t n_pipes = reductionPipes();
     const int acc_bits = accumulatorBits(input_bits);
-    const u64 mask = acc_bits >= 64 ? ~0ULL
-                                    : ((u64{1} << acc_bits) - 1);
 
     // Pipeline reserve: mark the accumulator and staging registers
     // dead and clear them (Section 4.2's reserve instruction).
-    for (std::size_t p = 0; p < n_pipes; ++p) {
+    for (std::size_t p = 0; p < reductionPipes(); ++p) {
         dce_.pipeline(p).clearReg(kAccVr);
         dce_.pipeline(p).clearReg(kStageVr);
     }
+    result.done = reduceTiming(analog_start, acc_bits);
 
+    acc_.resize(cols);
+    if (cfg_.shiftUnits) {
+        reduceValues(x, exact, acc_bits);
+    } else {
+        // The register-file reduction already ran; read it back.
+        for (std::size_t c0 = 0; c0 < cols; c0 += width)
+            dce_.pipeline(c0 / width)
+                .elements(kAccVr, acc_.data() + c0,
+                          std::min(width, cols - c0),
+                          static_cast<std::size_t>(acc_bits));
+    }
+
+    // Sign-extend the accumulator words.
+    result.values.resize(cols);
+    for (std::size_t c = 0; c < cols; ++c) {
+        i64 value = static_cast<i64>(acc_[c]);
+        if ((acc_[c] >> (acc_bits - 1)) & 1ULL)
+            value -= i64{1} << acc_bits;
+        result.values[c] = value;
+    }
+    arbiter_.release(result.done);
+    return result;
+}
+
+Cycle
+Hct::reduceTiming(Cycle analog_start, int acc_bits)
+{
+    const std::size_t cols = ace_.matrix().cols();
+    const std::size_t width = cfg_.dce.pipeline.width;
+    const std::size_t n_pipes = reductionPipes();
+    const std::size_t bits = static_cast<std::size_t>(acc_bits);
     const Cycle setup = iiu_.sequenceSetup();
-    std::vector<Cycle> port_free(n_pipes, analog_start + setup);
+    portFree_.assign(n_pipes, analog_start + setup);
     Cycle done = analog_start + setup;
 
     // Shared translation cache, not a fresh synthesis per MVM: only
@@ -154,51 +193,33 @@ Hct::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
             .macro(digital::MacroKind::Add, cfg_.dce.pipeline.family)
             .program;
     const u64 uops_per_add =
-        static_cast<u64>(add_program.opCount()) *
-        static_cast<u64>(acc_bits);
+        static_cast<u64>(add_program.opCount()) * static_cast<u64>(bits);
     // Resolved once per MVM, like the ACE's own accumulators: the
     // per-partial-product charge below skips the string-keyed lookup.
     CostEntry *t_network =
         tally_ != nullptr ? &tally_->entry("hct.network") : nullptr;
-
-    // Compiled reduction (shift-unit configs): staging writes and the
-    // ADD/SUB into the accumulator are evaluated element-natively —
-    // integer add/sub mod 2^acc_bits, the exact function of the
-    // synthesized ripple-carry macro — and the register file is
-    // materialized once per MVM instead of once per partial product.
-    // Macro timing/energy is charged through the same
-    // recordOps/reserveStages path either way. Without shift units
-    // the staged value takes a functional execShift detour, so that
-    // path keeps the register-file route.
-    const bool compiled_reduce = cfg_.shiftUnits;
-    std::vector<std::array<u64, 64>> host_acc, host_stage;
-    if (compiled_reduce) {
-        host_acc.assign(n_pipes, {});
-        host_stage.assign(n_pipes, {});
-    }
+    const u64 mask = (u64{1} << acc_bits) - 1;
 
     for (const auto &pp : stream_) {
+        const digital::MacroKind kind = pp.negate
+                                            ? digital::MacroKind::Sub
+                                            : digital::MacroKind::Add;
         for (std::size_t p = 0; p < n_pipes; ++p) {
             const std::size_t c0 = p * width;
-            if (c0 >= cols)
-                break;
-            const std::size_t n =
-                std::min(width, cols - c0);
+            const std::size_t n = std::min(width, cols - c0);
 
             // --- Transfer: ADC outputs stream over the network into
             // DCE rows, one row per cycle, overlapped with the
             // conversion window. The transpose unit turns the analog
             // row vector into column elements on the fly.
-            const Cycle write_begin =
-                std::max(port_free[p], pp.convStart);
+            const Cycle write_begin = std::max(portFree_[p], pp.convStart);
             Cycle write_done =
-                std::max(pp.readyAt,
-                         write_begin + static_cast<Cycle>(n));
+                std::max(pp.readyAt, write_begin + static_cast<Cycle>(n));
             if (!cfg_.transpose.enabled) {
                 // DCE-emulated transpose: extra element-wise copies.
                 write_done += transpose_.transposeCost(1, n, acc_bits);
             }
-            port_free[p] = write_done;
+            portFree_[p] = write_done;
 
             if (t_network != nullptr) {
                 const u64 bytes =
@@ -210,112 +231,73 @@ Hct::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
                                      cfg_.networkEnergyPerBytePJ;
             }
 
-            // --- Placement: with shift units the value lands
-            // pre-shifted; without them the DCE must write, then
-            // shift with Boolean µops (Figure 10a), serializing.
+            // --- Placement and reduction: with shift units the value
+            // lands pre-shifted and only the ADD/SUB's cost is charged
+            // here (the values half runs once per MVM in execMvm).
+            // Without them the DCE writes, then shifts with Boolean
+            // µops (Figure 10a), serializing, and the ADD/SUB runs
+            // functionally in the register file. Either way it is
+            // issued by the IIU (or stalled through the front end).
             digital::Pipeline &pipe = dce_.pipeline(p);
             Cycle ready = write_done;
-            // Masked to acc_bits, so only the low acc_bits columns
-            // (cleared at reserve, untouched above acc_bits since)
-            // need writing.
-            u64 staged[64];
-            if (cfg_.shiftUnits) {
-                for (std::size_t e = 0; e < n; ++e) {
-                    const i64 shifted = pp.values[c0 + e]
-                                        << pp.shift;
-                    staged[e] = static_cast<u64>(shifted) & mask;
-                }
-            } else {
+            if (!cfg_.shiftUnits) {
+                u64 staged[64];
                 for (std::size_t e = 0; e < n; ++e)
-                    staged[e] =
-                        static_cast<u64>(pp.values[c0 + e]) & mask;
-                pipe.setElements(kStageVr, staged, n,
-                                 static_cast<std::size_t>(acc_bits));
-                ready = pipe.execShift(
-                    kStageVr, kStageVr,
-                    static_cast<std::size_t>(pp.shift), true,
-                    static_cast<std::size_t>(acc_bits), write_done);
+                    staged[e] = static_cast<u64>(pp.values[c0 + e]) & mask;
+                pipe.setElements(kStageVr, staged, n, bits);
+                ready = pipe.execShift(kStageVr, kStageVr,
+                                       static_cast<std::size_t>(pp.shift),
+                                       true, bits, write_done);
             }
-
-            // --- Reduction: pipelined ADD/SUB into the accumulator,
-            // issued by the IIU (or stalled through the front end).
             const Cycle issue = ready + iiu_.issueOverhead(uops_per_add);
             iiu_.recordInjected(cfg_.iiu.enabled ? uops_per_add : 0);
-            Cycle add_done;
-            if (compiled_reduce) {
-                u64 *stage_p = host_stage[p].data();
-                u64 *acc_p = host_acc[p].data();
-                if (pp.negate)
-                    for (std::size_t e = 0; e < n; ++e)
-                        acc_p[e] = (acc_p[e] - staged[e]) & mask;
-                else
-                    for (std::size_t e = 0; e < n; ++e)
-                        acc_p[e] = (acc_p[e] + staged[e]) & mask;
-                for (std::size_t e = 0; e < n; ++e)
-                    stage_p[e] = staged[e];
-                add_done = pipe.timeMacro(
-                    pp.negate ? digital::MacroKind::Sub
-                              : digital::MacroKind::Add,
-                    static_cast<std::size_t>(acc_bits), issue);
-            } else {
-                add_done = pipe.execMacro(
-                    pp.negate ? digital::MacroKind::Sub
-                              : digital::MacroKind::Add,
-                    kAccVr, kAccVr, kStageVr,
-                    static_cast<std::size_t>(acc_bits), issue);
-            }
+            const Cycle add_done =
+                cfg_.shiftUnits
+                    ? pipe.timeMacro(kind, bits, issue)
+                    : pipe.execMacro(kind, kAccVr, kAccVr, kStageVr, bits,
+                                     issue);
             done = std::max(done, add_done);
         }
     }
+    return done;
+}
 
-    if (compiled_reduce) {
-        // Materialize the element-native state into the register
-        // file once per MVM — bit-identical to what the
-        // per-partial-product path leaves behind.
-        for (std::size_t p = 0; p < n_pipes; ++p) {
-            const std::size_t c0 = p * width;
-            if (c0 >= cols)
-                break;
-            const std::size_t n = std::min(width, cols - c0);
-            digital::Pipeline &pipe = dce_.pipeline(p);
-            pipe.setElements(kStageVr, host_stage[p].data(), n,
-                             static_cast<std::size_t>(acc_bits));
-            pipe.setElements(kAccVr, host_acc[p].data(), n,
-                             static_cast<std::size_t>(acc_bits));
+void
+Hct::reduceValues(const std::vector<i64> &x, bool exact, int acc_bits)
+{
+    const u64 mask = (u64{1} << acc_bits) - 1;
+    if (exact) {
+        ace_.exactProduct(x, acc_.data());
+        for (u64 &word : acc_)
+            word &= mask;
+    } else {
+        std::fill(acc_.begin(), acc_.end(), u64{0});
+        for (const auto &pp : stream_) {
+            for (std::size_t c = 0; c < acc_.size(); ++c) {
+                const u64 staged =
+                    static_cast<u64>(pp.values[c] << pp.shift) & mask;
+                acc_[c] = (pp.negate ? acc_[c] - staged
+                                     : acc_[c] + staged) &
+                          mask;
+            }
         }
     }
 
-    // Read the accumulator back as sign-extended integers, one batch
-    // readback per pipe.
-    MvmResult result;
-    result.values.resize(cols);
-    for (std::size_t p = 0; p < n_pipes; ++p) {
-        const std::size_t c0 = p * width;
-        if (c0 >= cols)
-            break;
-        const std::size_t n = std::min(width, cols - c0);
-        u64 raw[64];
-        if (compiled_reduce) {
-            // host_acc already holds the masked accumulator words the
-            // register file was just materialized from — skip the
-            // transpose readback.
-            const u64 *acc_p = host_acc[p].data();
-            for (std::size_t e = 0; e < n; ++e)
-                raw[e] = acc_p[e];
-        } else {
-            dce_.pipeline(p).elements(
-                kAccVr, raw, n, static_cast<std::size_t>(acc_bits));
-        }
-        for (std::size_t e = 0; e < n; ++e) {
-            i64 value = static_cast<i64>(raw[e]);
-            if (acc_bits < 64 && (raw[e] >> (acc_bits - 1)) & 1ULL)
-                value -= i64{1} << acc_bits;
-            result.values[c0 + e] = value;
-        }
+    // Materialize the register file once: the accumulator words, and
+    // the last partial product staged as the ADD/SUBs left it.
+    const std::size_t width = cfg_.dce.pipeline.width;
+    const std::size_t bits = static_cast<std::size_t>(acc_bits);
+    const analog::PartialProduct &last = stream_.back();
+    for (std::size_t c0 = 0; c0 < acc_.size(); c0 += width) {
+        const std::size_t n = std::min(width, acc_.size() - c0);
+        u64 staged[64];
+        for (std::size_t e = 0; e < n; ++e)
+            staged[e] =
+                static_cast<u64>(last.values[c0 + e] << last.shift) & mask;
+        digital::Pipeline &pipe = dce_.pipeline(c0 / width);
+        pipe.setElements(kStageVr, staged, n, bits);
+        pipe.setElements(kAccVr, acc_.data() + c0, n, bits);
     }
-    result.done = done;
-    arbiter_.release(done);
-    return result;
 }
 
 Cycle

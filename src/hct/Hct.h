@@ -18,7 +18,12 @@
  * execMvm() runs the full Figure 9 walkthrough: bit-serial analog MVM,
  * partial-product transfer, and pipelined ADD/SUB reduction in the
  * DCE, returning bit-exact integer results in the ideal-noise
- * configuration.
+ * configuration. The reduction is simulated in two halves: a timing
+ * pass over the partial-product stream (transfers, IIU issue, stage
+ * reservation, tallies) and a values step that fills the accumulator —
+ * one exact integer product on ideal arrays (see Ace.h), the fold of
+ * the digitized codes otherwise — after which the register file is
+ * written once, bit-identical to the per-partial-product ADD/SUBs.
  */
 
 #ifndef DARTH_HCT_HCT_H
@@ -181,6 +186,26 @@ class Hct
     /** Reduction pipelines needed for the current matrix. */
     std::size_t reductionPipes() const;
 
+    /**
+     * The timing half of the reduction: walks stream_ in order,
+     * charging each partial product's transfer (port, network,
+     * transpose) and its ADD/SUB (IIU issue, stage reservation) on
+     * every reduction pipeline; returns the last completion. Without
+     * shift units this also runs the shift and ADD/SUB functionally
+     * in the register file, since execShift needs the bits.
+     */
+    Cycle reduceTiming(Cycle analog_start, int acc_bits);
+
+    /**
+     * The values half of the reduction with shift units: acc_ = the
+     * accumulator mod 2^acc_bits (the exact product when `exact`, the
+     * fold of stream_'s codes otherwise), then the accumulator and
+     * staging registers written once, bit-identical to what the
+     * per-partial-product ADD/SUBs leave behind.
+     */
+    void reduceValues(const std::vector<i64> &x, bool exact,
+                      int acc_bits);
+
     HctConfig cfg_;
     CostTally *tally_;
     analog::Ace ace_;
@@ -194,6 +219,10 @@ class Hct
     u64 mvmCount_ = 0;
     /** Partial-product stream reused by every execMvm(). */
     std::vector<analog::PartialProduct> stream_;
+    /** Per-MVM scratch: reduction-pipe port free times, accumulator
+     *  words (one per matrix column). */
+    std::vector<Cycle> portFree_;
+    std::vector<u64> acc_;
 };
 
 } // namespace hct

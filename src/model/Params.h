@@ -47,7 +47,7 @@ struct HctGeometry
      * 8 B/cycle ACE->DCE network is "chosen to rate-match ADC
      * throughput with DCE write bandwidth" (§4), which needs 8
      * one-cycle 8-bit conversions per cycle; we adopt 8 (see
-     * EXPERIMENTS.md for the reconciliation).
+     * docs/benchmarks.md, "Parameter substitutions").
      */
     std::size_t
     numAdcs(analog::AdcKind kind) const

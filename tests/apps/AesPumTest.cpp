@@ -112,7 +112,8 @@ TEST(AesPum, SurvivesModerateAnalogNoise)
     // must not corrupt the ciphertext (the 2y - P sums sit on even
     // integers, a half-LSB of headroom). Note: our first-order IR
     // model shows the ±1 remap only cancels wire current for
-    // sign-balanced matrices (see EXPERIMENTS.md), so the wire
+    // sign-balanced matrices (see docs/benchmarks.md, "Parameter
+    // substitutions"), so the wire
     // resistance corner here is below the paper's implied level.
     hct::HctConfig cfg = aesHct();
     cfg.ace.noise.programSigma = 0.005;

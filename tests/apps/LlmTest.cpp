@@ -194,7 +194,8 @@ TEST(LlmMapper, NonMvmWorkIsVisibleAtBertBaseScale)
     // §7.1 reports ~71% of DARTH-PUM LLM execution as non-MVM work.
     // Our model, with the DCE work spread across the placement's
     // tiles, is MVM-dominated instead (the Table-2/3-provisioned
-    // ADCs bound the analog side); EXPERIMENTS.md records the gap.
+    // ADCs bound the analog side); docs/benchmarks.md ("Parameter
+    // substitutions") records the gap.
     // The invariant kept here: the non-MVM share is non-trivial and
     // grows with sequence length (attention is quadratic).
     Encoder small(EncoderConfig{}, 7);

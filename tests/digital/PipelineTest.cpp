@@ -2,11 +2,16 @@
  * @file
  * Unit tests for the RACER pipeline: functional macro results, timing
  * behaviour (bit-pipelining, carry serialization), row I/O, shifts,
- * rotation, and the DARTH-PUM element-wise load/store extension.
+ * rotation, the DARTH-PUM element-wise load/store extension, and a
+ * seeded property sweep that holds stage reservation to an explicit
+ * stage-by-stage model.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/Random.h"
 #include "digital/Pipeline.h"
 
 namespace darth
@@ -298,6 +303,166 @@ INSTANTIATE_TEST_SUITE_P(
                           u64{0xFFFF}, u64{0x1234}),
         ::testing::Values(u64{0}, u64{1}, u64{0x00FF}, u64{0xFFFF},
                           u64{0xABCD})));
+
+/**
+ * Explicit per-stage reservation model: one free time per stage,
+ * walked in full for every macro. The pipeline's own bookkeeping may
+ * take any shortcut, but every completion, drain time and stage-0
+ * free time it reports must equal this walk.
+ */
+struct StageModel
+{
+    std::vector<Cycle> free;
+
+    Cycle
+    reserve(std::size_t bits, Cycle issue, Cycle ops, bool chained)
+    {
+        Cycle prev_start = issue;
+        Cycle prev_done = issue;
+        Cycle completion = issue;
+        for (std::size_t i = 0; i < bits; ++i) {
+            const Cycle ready =
+                chained ? std::max(issue, prev_done)
+                        : std::max(issue,
+                                   prev_start + (i > 0 ? 1 : 0));
+            const Cycle start = std::max(ready, free[i]);
+            free[i] = start + ops;
+            prev_start = start;
+            prev_done = start + ops;
+            completion = std::max(completion, prev_done);
+        }
+        return completion;
+    }
+
+    Cycle
+    drain() const
+    {
+        return *std::max_element(free.begin(), free.end());
+    }
+
+    void
+    fence(Cycle when)
+    {
+        for (auto &stage : free)
+            stage = std::max(stage, when);
+    }
+};
+
+class PipelineReservationProperty
+    : public ::testing::TestWithParam<std::tuple<u64, LogicFamilyKind>>
+{
+};
+
+TEST_P(PipelineReservationProperty, MatchesStageWalk)
+{
+    const auto [seed, family] = GetParam();
+    PipelineConfig cfg = smallConfig(family);
+    cfg.depth = 32;
+    Pipeline pipe(cfg);
+    Pipeline table(cfg);
+    StageModel model{std::vector<Cycle>(cfg.depth, 0)};
+    const auto program = [family](MacroKind kind) -> const BitProgram & {
+        return KernelCache::instance().macro(kind, family).program;
+    };
+    // VR 7 holds the all-zero gather/scatter addresses; macros write
+    // only VRs 0..5, so every address stays inside the table.
+    constexpr std::size_t kAddrVr = 7;
+    pipe.clearReg(kAddrVr);
+
+    Rng rng(seed);
+    Cycle issue = 0;
+    for (int step = 0; step < 3000; ++step) {
+        // Mostly issue into a busy pipeline (the stall case), else
+        // behind it, else at an early cycle.
+        const u64 when = rng.uniformInt(u64{10});
+        if (when < 6)
+            issue = model.free[0] > 20 ? model.free[0] - 20 +
+                                             rng.uniformInt(u64{40})
+                                       : rng.uniformInt(u64{40});
+        else if (when < 9)
+            issue = model.drain() + rng.uniformInt(u64{8});
+        else
+            issue = rng.uniformInt(issue + 1);
+        // Most macros share one span (the reduction's steady state);
+        // the rest mix widths.
+        const std::size_t bits =
+            rng.uniformInt(u64{4}) != 0
+                ? 20
+                : 1 + static_cast<std::size_t>(
+                          rng.uniformInt(u64{cfg.depth}));
+        const std::size_t dst = rng.uniformInt(u64{6});
+        const std::size_t a = rng.uniformInt(u64{7});
+        const std::size_t b = rng.uniformInt(u64{7});
+
+        Cycle got = 0;
+        Cycle want = 0;
+        const u64 op = rng.uniformInt(u64{20});
+        if (op < 12) {
+            const MacroKind kind = op < 6   ? MacroKind::Add
+                                   : op < 10 ? MacroKind::Sub
+                                             : MacroKind::Xor;
+            const BitProgram &p = program(kind);
+            got = op % 2 == 0
+                      ? pipe.execMacro(kind, dst, a, b, bits, issue)
+                      : pipe.timeMacro(kind, bits, issue);
+            want = model.reserve(bits, issue, p.opCount(),
+                                 p.hasCarryChain());
+        } else if (op == 12) {
+            got = pipe.execSelect(dst, a, b, a, bits - 1, bits, issue);
+            want = model.reserve(bits, issue,
+                                 program(MacroKind::Mux).opCount() + 1,
+                                 false);
+        } else if (op == 13) {
+            const std::size_t k = rng.uniformInt(u64{4});
+            got = pipe.execShift(dst, a, k, k % 2 == 0, bits, issue);
+            want = model.reserve(bits, issue,
+                                 2 * std::max<std::size_t>(k, 1),
+                                 false);
+        } else if (op == 14) {
+            const std::size_t rot_bits = std::max<std::size_t>(bits, 2);
+            const std::size_t k = rng.uniformInt(u64{rot_bits});
+            got = pipe.execRotate(dst, k, rot_bits, issue);
+            want = std::max(issue, model.drain()) + cfg.depth +
+                   2 * (rot_bits - k) + cfg.depth;
+            model.fence(want);
+        } else if (op == 15 || op == 16) {
+            got = op == 15
+                      ? pipe.elementLoad(dst, kAddrVr, table, 0, bits,
+                                         issue)
+                      : pipe.elementStore(a, kAddrVr, table, 0, bits,
+                                          issue);
+            want = std::max(issue, model.drain()) + 3 * cfg.width;
+            model.fence(want);
+        } else if (op == 17) {
+            const Cycle when_rebase = rng.uniformInt(model.drain() + 1);
+            pipe.rebase(when_rebase);
+            std::fill(model.free.begin(), model.free.end(),
+                      when_rebase);
+        } else {
+            // Back-to-back chained ADDs at one span: the HCT's
+            // reduction pattern.
+            const std::size_t span = 8 + rng.uniformInt(u64{24});
+            for (int k = 0; k < 6; ++k) {
+                got = pipe.timeMacro(MacroKind::Add, span, issue);
+                want = model.reserve(
+                    span, issue, program(MacroKind::Add).opCount(),
+                    true);
+                ASSERT_EQ(got, want) << "step " << step << " run " << k;
+                issue += rng.uniformInt(u64{30});
+            }
+        }
+        ASSERT_EQ(got, want) << "step " << step << " op " << op;
+        ASSERT_EQ(pipe.drainTime(), model.drain()) << "step " << step;
+        ASSERT_EQ(pipe.stage0FreeAt(), model.free[0])
+            << "step " << step;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, PipelineReservationProperty,
+    ::testing::Combine(::testing::Range(u64{1}, u64{7}),
+                       ::testing::Values(LogicFamilyKind::Oscar,
+                                         LogicFamilyKind::Ideal)));
 
 } // namespace
 } // namespace digital

@@ -2,11 +2,16 @@
  * @file
  * Integration tests for the hybrid compute tile: end-to-end MVM
  * exactness through ACE + shift units + DCE reduction, the Figure 10
- * shift-unit optimization, IIU ablation, and vACore management.
+ * shift-unit optimization, IIU ablation, vACore management, and a
+ * pinned sweep that holds every observable of the reduction (values,
+ * completion cycle, cost tally, reserved registers) to fixed digests.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "common/Fnv.h"
 #include "common/Random.h"
 #include "hct/Hct.h"
 
@@ -279,6 +284,180 @@ TEST_P(HctMvmProperty, MatchesReference)
 
 INSTANTIATE_TEST_SUITE_P(Sweep, HctMvmProperty,
                          ::testing::Range(u64{100}, u64{120}));
+
+/**
+ * One pinned reduction scenario. The digest folds, over three
+ * back-to-back MVMs on one tile, every result value, every completion
+ * cycle, the whole cost tally (names, events, cycles, energy bits) and
+ * the full-depth contents of both reserved registers (accumulator VR 0
+ * and staging VR 1) of every reduction pipeline. The constants were
+ * recorded from the partial-product-by-partial-product reduction, so
+ * any change to how the tile reduces must leave all of them alone.
+ */
+struct ReductionCase
+{
+    const char *name;
+    int elementBits;
+    int bitsPerCell;
+    int inputBits;
+    bool negativeInputs;
+    analog::AdcKind adc;
+    int adcBits;
+    std::size_t rows;
+    std::size_t cols;
+    std::size_t depth;
+    bool ideal;
+    bool shiftUnits;
+    Cycle expectDone;
+    u64 expectDigest;
+};
+
+u64
+mixTally(const CostTally &tally, u64 hash)
+{
+    for (const auto &[name, entry] : tally.entries()) {
+        hash = fnv1aBytes(name.data(), name.size(), hash);
+        hash = fnv1aWord(entry.events, hash);
+        hash = fnv1aWord(entry.cycles, hash);
+        u64 energy_bits = 0;
+        std::memcpy(&energy_bits, &entry.energy, sizeof(energy_bits));
+        hash = fnv1aWord(energy_bits, hash);
+    }
+    return hash;
+}
+
+/** Two's complement sign extension of the low `bits` bits. */
+i64
+signExtend(i64 value, int bits)
+{
+    const u64 mask = (u64{1} << bits) - 1;
+    const u64 low = static_cast<u64>(value) & mask;
+    return (low >> (bits - 1)) & 1ULL
+               ? static_cast<i64>(low) - (i64{1} << bits)
+               : static_cast<i64>(low);
+}
+
+void
+PrintTo(const ReductionCase &rc, std::ostream *os)
+{
+    *os << rc.name;
+}
+
+class HctReductionPinned
+    : public ::testing::TestWithParam<ReductionCase>
+{
+};
+
+TEST_P(HctReductionPinned, MatchesRecordedDigest)
+{
+    const ReductionCase &rc = GetParam();
+    HctConfig cfg;
+    cfg.dce.numPipelines = 4;
+    cfg.dce.pipeline.depth = rc.depth;
+    cfg.dce.pipeline.width = 64;
+    cfg.dce.pipeline.numRegs = 8;
+    cfg.ace.numArrays = 64;
+    cfg.ace.arrayRows = 16;
+    cfg.ace.arrayCols = 64;
+    cfg.ace.adc.kind = rc.adc;
+    cfg.ace.adc.bits = rc.adcBits;
+    cfg.ace.numAdcs = rc.adc == analog::AdcKind::Sar ? 2 : 1;
+    cfg.ace.rampAutoTerminate = true;
+    if (!rc.ideal)
+        cfg.ace.noise = reram::NoiseModel::realistic();
+    cfg.shiftUnits = rc.shiftUnits;
+
+    CostTally tally;
+    Hct hct(cfg, &tally, 7);
+    const i64 w_max = (i64{1} << rc.elementBits) - 1;
+    hct.setMatrix(randomMatrix(rc.rows, rc.cols, -w_max, w_max,
+                               static_cast<u64>(rc.rows * 131 +
+                                                rc.cols)),
+                  rc.elementBits, rc.bitsPerCell);
+    const int acc_bits = hct.accumulatorBits(rc.inputBits);
+    const std::size_t pipes = (rc.cols + 63) / 64;
+
+    u64 digest = kFnvOffsetBasis;
+    Cycle start = 0;
+    Cycle done = 0;
+    for (u64 round = 0; round < 3; ++round) {
+        const i64 x_lo =
+            rc.negativeInputs ? -(i64{1} << (rc.inputBits - 1)) : 0;
+        const i64 x_hi =
+            rc.negativeInputs ? (i64{1} << (rc.inputBits - 1)) - 1
+                              : (i64{1} << rc.inputBits) - 1;
+        auto x = randomVector(rc.rows, x_lo, x_hi, 900 + round);
+        // Sparse inputs too: every third row is zero.
+        for (std::size_t r = round; r < x.size(); r += 3)
+            x[r] = 0;
+        const auto result = hct.execMvm(x, rc.inputBits, start);
+        if (rc.ideal) {
+            const auto reference = hct.ace().referenceMvm(x);
+            for (std::size_t c = 0; c < rc.cols; ++c)
+                ASSERT_EQ(result.values[c],
+                          signExtend(reference[c], acc_bits))
+                    << rc.name << " round " << round << " col " << c;
+        }
+        digest = fnv1aWords(result.values, digest);
+        digest = fnv1aWord(result.done, digest);
+        done = result.done;
+        // Alternate a back-to-back issue with one behind the tile.
+        start = round % 2 == 0 ? result.done / 2 : result.done + 5;
+    }
+    digest = mixTally(tally, digest);
+    for (std::size_t p = 0; p < pipes; ++p)
+        for (std::size_t vr = 0; vr < 2; ++vr)
+            digest = fnv1aWords(hct.readVector(p, vr, rc.depth), digest);
+
+    EXPECT_EQ(done, rc.expectDone) << rc.name;
+    EXPECT_EQ(digest, rc.expectDigest)
+        << rc.name << " digest 0x" << std::hex << digest;
+}
+
+using analog::AdcKind;
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, HctReductionPinned,
+    ::testing::Values(
+        // name, elem bits, bits/cell, input bits, negative inputs,
+        // ADC, ADC bits, rows, cols, depth, ideal, shift units,
+        // done, digest
+        ReductionCase{"binary_sar4", 1, 1, 1, false, AdcKind::Sar, 4,
+                      8, 8, 64, true, true,
+                      272, 0x6cb1a0f346590176ULL},
+        ReductionCase{"three_row_tiles", 4, 2, 4, true, AdcKind::Sar,
+                      6, 20, 16, 64, true, true,
+                      1673, 0xf1cf2cc12a0991c7ULL},
+        ReductionCase{"two_pipes_ramp4", 8, 1, 8, true, AdcKind::Ramp,
+                      4, 16, 70, 64, true, true,
+                      49925, 0x86df0225b32664dfULL},
+        ReductionCase{"acc_over_32", 16, 4, 16, true, AdcKind::Sar, 8,
+                      24, 40, 64, true, true,
+                      24425, 0xbee0ac4ed11ef470ULL},
+        ReductionCase{"depth_wraps", 12, 3, 10, false, AdcKind::Ramp,
+                      6, 16, 96, 24, true, true,
+                      31529, 0x1d2685be8a002892ULL},
+        ReductionCase{"sixteen_slices", 16, 1, 16, true, AdcKind::Ramp,
+                      8, 16, 64, 64, true, true,
+                      99653, 0xa095dd026ef9573aULL},
+        ReductionCase{"two_bit_cells_sar4", 2, 2, 3, true,
+                      AdcKind::Sar, 4, 12, 8, 16, true, true,
+                      977, 0xa25cb3b669d1961bULL},
+        ReductionCase{"wide_cells_65_cols", 7, 4, 5, true,
+                      AdcKind::Sar, 6, 8, 65, 64, true, true,
+                      8273, 0xdfb49b058f273c30ULL},
+        ReductionCase{"ramp8_unsigned", 5, 3, 6, false, AdcKind::Ramp,
+                      8, 24, 128, 64, true, true,
+                      12776, 0x0ae6ed1a5aecd79dULL},
+        ReductionCase{"noisy_two_pipes", 6, 2, 6, true, AdcKind::Sar,
+                      8, 16, 72, 64, false, true,
+                      7541, 0x30571da7aff36d73ULL},
+        ReductionCase{"no_shift_units", 4, 2, 5, true, AdcKind::Sar,
+                      6, 12, 70, 32, true, false,
+                      10028, 0x79d44eec7b23005bULL}),
+    [](const ::testing::TestParamInfo<ReductionCase> &info) {
+        return std::string(info.param.name);
+    });
 
 } // namespace
 } // namespace hct
