@@ -18,6 +18,15 @@ namespace
 /** doneCycle_ sentinel for a submitted-but-unexecuted request. */
 constexpr Cycle kPendingDone = ~Cycle{0};
 
+/** Queued requests counted under `key` (0 when absent). */
+template <typename Key>
+std::size_t
+queuedUnder(const std::map<Key, std::size_t> &counts, const Key &key)
+{
+    const auto it = counts.find(key);
+    return it == counts.end() ? 0 : it->second;
+}
+
 } // namespace
 
 Scheduler::Scheduler(Chip &chip)
@@ -73,12 +82,26 @@ Scheduler::submit(const PlacedMatrix &pm, std::vector<i64> x,
     req.earliest = earliest;
     req.session = pm.session;
     req.oracleCost = oracleCostLocked(pm.plan, input_bits);
-    req.deps.reserve(after.size());
-    for (const MvmFuture &dep : after)
-        req.deps.push_back(dep.id());
+    for (const MvmFuture &dep : after) {
+        const Cycle dep_done = doneCycle_[dep.id() - 1];
+        if (dep_done == kPendingDone) {
+            // Still queued: it readies this request when it executes.
+            requestAt(dep.id()).waiters.push_back(req.id);
+            ++req.unmetDeps;
+        } else {
+            req.depBound = std::max(req.depBound, dep_done);
+        }
+    }
     doneCycle_.push_back(kPendingDone);
     backlog_ += req.oracleCost;
+    ++pending_;
+    ++sessionQueued_[req.session];
+    ++handleQueued_[pm.id];
+    if (queue_.empty())
+        queueBase_ = req.id;
     queue_.push_back(std::move(req));
+    if (queue_.back().unmetDeps == 0)
+        makeReady(queue_.back());
     return MvmFuture(queue_.back().id, this);
 }
 
@@ -105,24 +128,6 @@ Scheduler::oracleCostLocked(const MatrixPlan &plan, int input_bits)
     return worst;
 }
 
-bool
-Scheduler::depsReady(const Request &req) const
-{
-    for (RequestId dep : req.deps)
-        if (doneCycle_[dep - 1] == kPendingDone)
-            return false;
-    return true;
-}
-
-Cycle
-Scheduler::depBound(const Request &req) const
-{
-    Cycle bound = 0;
-    for (RequestId dep : req.deps)
-        bound = std::max(bound, doneCycle_[dep - 1]);
-    return bound;
-}
-
 Cycle
 Scheduler::tileReady(std::size_t hct, const PlacedMatrix &pm) const
 {
@@ -134,55 +139,102 @@ Scheduler::tileReady(std::size_t hct, const PlacedMatrix &pm) const
 }
 
 Cycle
-Scheduler::achievableStart(const Request &req) const
+Scheduler::tileBound(const PlacedMatrix &pm) const
 {
-    Cycle start = std::max(req.earliest, depBound(req));
-    for (const auto &part : req.pm->plan.parts)
-        start = std::max(start, tileReady(part.hctIndex, *req.pm));
-    return start;
+    Cycle bound = 0;
+    for (const auto &part : pm.plan.parts)
+        bound = std::max(bound, tileReady(part.hctIndex, pm));
+    return bound;
 }
 
-std::size_t
-Scheduler::pickNext() const
+Scheduler::Request &
+Scheduler::requestAt(RequestId id)
+{
+    return queue_[static_cast<std::size_t>(id - queueBase_)];
+}
+
+const Scheduler::Request *
+Scheduler::findQueued(RequestId id) const
+{
+    if (id < queueBase_ || id - queueBase_ >= queue_.size())
+        return nullptr;
+    const Request &req = queue_[static_cast<std::size_t>(id - queueBase_)];
+    return req.queued ? &req : nullptr;
+}
+
+void
+Scheduler::makeReady(Request &req)
+{
+    req.readyBound = std::max(req.earliest, req.depBound);
+    ReadyGroup &group = ready_[req.pm->uid];
+    group.pm = req.pm;
+    if (req.readyBound <= group.horizon)
+        group.atHorizon.insert(req.id);
+    else
+        group.beyond.emplace(req.readyBound, req.id);
+}
+
+RequestId
+Scheduler::pickNext()
 {
     if (dequeueHook_) {
-        std::vector<QueuedRequest> view;
-        view.reserve(queue_.size());
+        hookView_.clear();
         for (const auto &req : queue_) {
+            if (!req.queued)
+                continue;
             QueuedRequest q;
             q.id = req.id;
             q.session = req.session;
             q.handle = req.pm->id;
             q.earliest = req.earliest;
-            q.ready = depsReady(req);
+            q.ready = req.unmetDeps == 0;
             // Not-ready requests sort to the back of any start-time
             // ordering a hook applies (picking one anyway falls back
             // to the greedy order below).
             q.achievableStart =
-                q.ready ? achievableStart(req) : ~Cycle{0};
+                q.ready ? std::max(req.readyBound, tileBound(*req.pm))
+                        : ~Cycle{0};
             q.oracleCost = req.oracleCost;
-            view.push_back(q);
+            hookView_.push_back(q);
         }
-        const std::size_t picked = dequeueHook_(view);
-        if (picked < queue_.size() && view[picked].ready)
-            return picked;
-        // Out-of-range or not-ready pick: fall through to the greedy
-        // default (the oldest queued request is always ready, since
-        // its dependencies are strictly older and out of the queue).
+        const std::size_t picked = dequeueHook_(hookView_);
+        if (picked < hookView_.size() && hookView_[picked].ready)
+            return hookView_[picked].id;
+        // Out-of-range or not-ready pick: the greedy default below.
     }
-    std::size_t best = queue_.size();
+    // Greedy: earliest achievable start, submission order as the
+    // tiebreak. A request's start is max(readyBound, T) with T its
+    // placement's tile bound, so each group offers its lowest id
+    // among bounds <= T at start T, else its least (bound, id).
+    RequestId best = 0;
     Cycle best_start = 0;
-    for (std::size_t i = 0; i < queue_.size(); ++i) {
-        if (!depsReady(queue_[i]))
-            continue;
-        const Cycle start = achievableStart(queue_[i]);
-        // Strictly-less keeps submission order as the tiebreak.
-        if (best == queue_.size() || start < best_start) {
-            best = i;
+    for (auto &[uid, group] : ready_) {
+        // Each tile runs only its own placement's MVMs (placeMatrix
+        // hands out free HCTs), and every issue moves nextIssue_ and
+        // busyUntil_ forward, so T never falls and a request once at
+        // the horizon stays there.
+        const Cycle tiles = tileBound(*group.pm);
+        if (tiles < group.horizon)
+            darth_panic("Scheduler::pickNext: tile bound of placement ",
+                        uid, " fell from ", group.horizon, " to ", tiles);
+        group.horizon = tiles;
+        while (!group.beyond.empty() &&
+               group.beyond.begin()->first <= tiles) {
+            group.atHorizon.insert(group.beyond.begin()->second);
+            group.beyond.erase(group.beyond.begin());
+        }
+        const bool at_tiles = !group.atHorizon.empty();
+        const Cycle start =
+            at_tiles ? tiles : group.beyond.begin()->first;
+        const RequestId id = at_tiles ? *group.atHorizon.begin()
+                                      : group.beyond.begin()->second;
+        if (best == 0 || start < best_start ||
+            (start == best_start && id < best)) {
+            best = id;
             best_start = start;
         }
     }
-    if (best == queue_.size())
+    if (best == 0)
         darth_panic("Scheduler::pickNext: no dependency-ready request "
                     "in a non-empty queue (dependency cycle?)");
     return best;
@@ -228,18 +280,23 @@ std::size_t
 Scheduler::pendingRequests(u64 session) const
 {
     SeqLock lock(mu_);
-    std::size_t count = 0;
-    for (const auto &req : queue_)
-        count += req.session == session;
-    return count;
+    return queuedUnder(sessionQueued_, session);
 }
 
 void
-Scheduler::executeAt(std::size_t index)
+Scheduler::executeAt(RequestId id)
 {
-    Request req = std::move(queue_[index]);
-    queue_.erase(queue_.begin() +
-                 static_cast<std::ptrdiff_t>(index));
+    Request &slot = requestAt(id);
+    Request req = std::move(slot);
+    slot.queued = false;
+    const auto group = ready_.find(req.pm->uid);
+    if (group->second.atHorizon.erase(id) == 0)
+        group->second.beyond.erase({req.readyBound, id});
+    if (group->second.atHorizon.empty() && group->second.beyond.empty())
+        ready_.erase(group);
+    --pending_;
+    --sessionQueued_[req.session];
+    --handleQueued_[req.pm->id];
     backlog_ -= std::min(backlog_, req.oracleCost);
 
     const MatrixPlan &plan = req.pm->plan;
@@ -247,33 +304,32 @@ Scheduler::executeAt(std::size_t index)
     result.values.assign(plan.cols, 0);
 
     // Dependencies completed (pickNext only offers ready requests);
-    // their done cycles harden the earliest bound.
-    const Cycle dep_bound = depBound(req);
-    const Cycle earliest = std::max(req.earliest, dep_bound);
-    // A dependency stall is a start pushed later than both the
-    // submit-time earliest and what the tiles alone would allow.
-    if (!req.deps.empty()) {
-        Cycle tile_bound = req.earliest;
-        for (const auto &part : plan.parts)
-            tile_bound = std::max(
-                tile_bound, tileReady(part.hctIndex, *req.pm));
-        if (dep_bound > tile_bound)
-            ++counters_.dependencyStalls;
-    }
+    // their done cycles harden the earliest bound. A dependency stall
+    // is a start pushed later than both the submit-time earliest and
+    // what the tiles alone would allow.
+    const Cycle earliest = req.readyBound;
+    if (req.depBound > req.earliest && req.depBound > tileBound(*req.pm))
+        ++counters_.dependencyStalls;
 
     bool first = true;
     bool pipelined = false;
     Cycle done = earliest;
     for (const auto &part : plan.parts) {
-        std::vector<i64> sub_x(
-            req.x.begin() + static_cast<std::ptrdiff_t>(part.row0),
-            req.x.begin() +
-                static_cast<std::ptrdiff_t>(part.row0 + part.numRows));
+        // A part over every input row (every column stripe) reads the
+        // request's input as is; a row split copies its rows.
+        const bool all_rows = part.numRows == req.x.size();
+        if (!all_rows)
+            partInput_.assign(
+                req.x.begin() + static_cast<std::ptrdiff_t>(part.row0),
+                req.x.begin() + static_cast<std::ptrdiff_t>(
+                                    part.row0 + part.numRows));
         const Cycle prev_busy = busyUntil_[part.hctIndex];
         const Cycle start = std::max(
             earliest, tileReady(part.hctIndex, *req.pm));
-        auto part_result = chip_.hct(part.hctIndex)
-                               .execMvm(sub_x, req.inputBits, start);
+        auto part_result =
+            chip_.hct(part.hctIndex)
+                .execMvm(all_rows ? req.x : partInput_, req.inputBits,
+                         start);
         for (std::size_t c = 0; c < part.numCols; ++c)
             result.values[part.col0 + c] += part_result.values[c];
 
@@ -339,12 +395,21 @@ Scheduler::executeAt(std::size_t index)
     }
     result.done = done;
 
-    doneCycle_[req.id - 1] = done;
+    doneCycle_[id - 1] = done;
+    for (RequestId waiter_id : req.waiters) {
+        Request &waiter = requestAt(waiter_id);
+        waiter.depBound = std::max(waiter.depBound, done);
+        if (--waiter.unmetDeps == 0)
+            makeReady(waiter);
+    }
     ++counters_.issued;
     counters_.pipelineHits += pipelined;
-    results_.emplace(req.id,
-                     CompletedRequest{std::move(result), req.session});
+    results_.emplace(id, CompletedRequest{std::move(result), req.session});
     ++completed_;
+    while (!queue_.empty() && !queue_.front().queued) {
+        queue_.pop_front();
+        ++queueBase_;
+    }
 }
 
 MvmResult
@@ -358,22 +423,21 @@ Scheduler::wait(const MvmFuture &future, u64 session)
     if (it == results_.end()) {
         // Not executed yet: validate once against the queue (ids
         // never re-enter it), then drain until the result appears.
-        const auto qit = std::find_if(
-            queue_.begin(), queue_.end(),
-            [&](const Request &req) { return req.id == future.id(); });
-        if (qit == queue_.end())
+        const Request *req = findQueued(future.id());
+        if (req == nullptr)
             throw std::invalid_argument(
                 "Scheduler::wait: future " +
                 std::to_string(future.id()) +
                 " is unknown or was already collected");
-        if (qit->session != session)
+        if (req->session != session)
             throw std::invalid_argument(
                 "Scheduler::wait: future " +
                 std::to_string(future.id()) + " belongs to session " +
-                std::to_string(qit->session) + ", not to session " +
+                std::to_string(req->session) + ", not to session " +
                 std::to_string(session));
-        while ((it = results_.find(future.id())) == results_.end())
+        while (doneCycle_[future.id() - 1] == kPendingDone)
             executeAt(pickNext());
+        it = results_.find(future.id());
     }
     if (it->second.session != session)
         throw std::invalid_argument(
@@ -390,7 +454,7 @@ Cycle
 Scheduler::waitAll()
 {
     SeqLock lock(mu_);
-    while (!queue_.empty())
+    while (pending_ > 0)
         executeAt(pickNext());
     return makespanLocked();
 }
@@ -399,18 +463,8 @@ void
 Scheduler::drainSession(u64 session)
 {
     SeqLock lock(mu_);
-    for (;;) {
-        bool pending = false;
-        for (const auto &req : queue_) {
-            if (req.pm->session == session) {
-                pending = true;
-                break;
-            }
-        }
-        if (!pending)
-            return;
+    while (queuedUnder(sessionQueued_, session) > 0)
         executeAt(pickNext());
-    }
 }
 
 void
@@ -423,24 +477,17 @@ Scheduler::discardSession(u64 session)
         else
             ++it;
     }
+    if (const auto it = sessionQueued_.find(session);
+        it != sessionQueued_.end() && it->second == 0)
+        sessionQueued_.erase(it);
 }
 
 void
 Scheduler::drainMatrix(int handle)
 {
     SeqLock lock(mu_);
-    for (;;) {
-        bool pending = false;
-        for (const auto &req : queue_) {
-            if (req.pm->id == handle) {
-                pending = true;
-                break;
-            }
-        }
-        if (!pending)
-            return;
+    while (queuedUnder(handleQueued_, handle) > 0)
         executeAt(pickNext());
-    }
 }
 
 Cycle

@@ -21,6 +21,23 @@
  * override the greedy order, e.g. to drain strictly in admission
  * order (see src/serve/Admission.h).
  *
+ * The greedy pick never scans the queue. Each request's bound
+ * max(earliest, dependency done cycles) is stored once, when its last
+ * `after` dependency executes (waiter lists and unmet counts), and
+ * the request joins a ready index grouped by placement uid. Requests
+ * of one placement share its tiles, so the group's tile bound T is
+ * computed once per pick: the group offers its lowest id with bound
+ * <= T at start T, else its least (bound, id). A pick costs
+ * O(placements with ready work) plus O(log n); the queue keeps
+ * executed requests as tombstones until they reach the front, so a
+ * retire shifts nothing and an id lookup is one subtraction. The
+ * queue therefore holds every id since the oldest queued request,
+ * not only the queued ones: a request held back by a late `earliest`
+ * keeps every younger executed request's slot (a Request with no
+ * heap storage) until it runs. A hook sees the whole queue, so a
+ * hooked pick costs O(n) to build its view; a hook pick that is out
+ * of range or not ready falls back to the indexed greedy pick.
+ *
  * A submit may name `after` dependencies — futures of earlier
  * requests whose done cycles feed the request's `earliest` bound.
  * That is how InferenceGraph turns dataflow edges (producing layer ->
@@ -38,8 +55,11 @@
 #define DARTH_RUNTIME_SCHEDULER_H
 
 #include <cstddef>
+#include <deque>
 #include <functional>
 #include <map>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "common/ThreadAnnotations.h"
@@ -221,7 +241,7 @@ class Scheduler
     std::size_t pendingCount() const EXCLUDES(mu_)
     {
         SeqLock lock(mu_);
-        return queue_.size();
+        return pending_;
     }
 
     /**
@@ -231,7 +251,7 @@ class Scheduler
     std::size_t queueDepth() const EXCLUDES(mu_)
     {
         SeqLock lock(mu_);
-        return queue_.size();
+        return pending_;
     }
 
     /**
@@ -310,10 +330,20 @@ class Scheduler
         /** Captured at submit (the placement may be released before
          *  the result is collected). */
         u64 session = 0;
-        /** Requests that must complete before this one starts. */
-        std::vector<RequestId> deps;
         /** Oracle latency stamped at submit (see QueuedRequest). */
         Cycle oracleCost = 0;
+        /** `after` dependencies not yet executed; ready at zero. */
+        std::size_t unmetDeps = 0;
+        /** Max done cycle over executed dependencies (0 when none). */
+        Cycle depBound = 0;
+        /** max(earliest, depBound), fixed once the request is ready. */
+        Cycle readyBound = 0;
+        /** Queued requests naming this one in `after`, one entry per
+         *  naming. */
+        std::vector<RequestId> waiters;
+        /** False once executed: a tombstone until it reaches the
+         *  front of the queue. */
+        bool queued = true;
     };
 
     struct CompletedRequest
@@ -322,25 +352,47 @@ class Scheduler
         u64 session = 0;
     };
 
+    /**
+     * Dependency-ready requests of one placement. All share the
+     * placement's tiles, so each could start at max(readyBound, T),
+     * with T the placement's tileBound(). The split is made at
+     * `horizon`, the T of the last pick; T never falls (see
+     * pickNext), so requests only move from `beyond` to `atHorizon`.
+     */
+    struct ReadyGroup
+    {
+        const PlacedMatrix *pm = nullptr;
+        Cycle horizon = 0;
+        /** Ready requests with readyBound <= horizon, by id. */
+        std::set<RequestId> atHorizon;
+        /** Ready requests with readyBound > horizon, by (bound, id). */
+        std::set<std::pair<Cycle, RequestId>> beyond;
+    };
+
     /** Cycle the tile could accept this request's part. */
     Cycle tileReady(std::size_t hct, const PlacedMatrix &pm) const
         REQUIRES(mu_);
 
-    /** True once every dependency has executed. */
-    bool depsReady(const Request &req) const REQUIRES(mu_);
+    /** Max tileReady() over the placement's parts. */
+    Cycle tileBound(const PlacedMatrix &pm) const REQUIRES(mu_);
 
-    /** Max done cycle over executed dependencies (0 when none). */
-    Cycle depBound(const Request &req) const REQUIRES(mu_);
+    /** The queued request with this id (which must be queued). */
+    Request &requestAt(RequestId id) REQUIRES(mu_);
 
-    /** Earliest start the request could achieve right now. */
-    Cycle achievableStart(const Request &req) const REQUIRES(mu_);
+    /** The queued request with this id, or null when it is not
+     *  queued (executed, unknown, or never submitted). */
+    const Request *findQueued(RequestId id) const REQUIRES(mu_);
 
-    /** Index of the next request to run (greedy min-start among
+    /** Fix the bound of a request whose last dependency has
+     *  executed, and add it to its placement's ReadyGroup. */
+    void makeReady(Request &req) REQUIRES(mu_);
+
+    /** Id of the next request to run (greedy min-start among
      *  dependency-ready requests; a hook may reorder within them). */
-    std::size_t pickNext() const REQUIRES(mu_);
+    RequestId pickNext() REQUIRES(mu_);
 
-    /** Execute queue_[index] and record its result. */
-    void executeAt(std::size_t index) REQUIRES(mu_);
+    /** Execute the queued request `id` and record its result. */
+    void executeAt(RequestId id) REQUIRES(mu_);
 
     /** oracleCost() body, for callers already holding the lock. */
     Cycle oracleCostLocked(const MatrixPlan &plan, int input_bits)
@@ -358,7 +410,27 @@ class Scheduler
     /** Mutable per-shape cost cache (oracleCost). */
     KernelModel kernels_ GUARDED_BY(mu_);
     DequeueHook dequeueHook_ GUARDED_BY(mu_);
-    std::vector<Request> queue_ GUARDED_BY(mu_);
+    /** Submitted requests in id order from queueBase_: executed ones
+     *  stay as tombstones until they reach the front, so a retire
+     *  shifts nothing and requestAt() is one subtraction. Its length
+     *  is the id span since the oldest queued request. */
+    std::deque<Request> queue_ GUARDED_BY(mu_);
+    /** Id of queue_.front(). */
+    RequestId queueBase_ GUARDED_BY(mu_) = 1;
+    /** Queued-but-unexecuted requests (live entries of queue_). */
+    std::size_t pending_ GUARDED_BY(mu_) = 0;
+    /** Queued requests per session and per placement handle. Zero
+     *  counts stay (handle ids are reused; a session's key goes at
+     *  discardSession), so a steady stream allocates no nodes. */
+    std::map<u64, std::size_t> sessionQueued_ GUARDED_BY(mu_);
+    std::map<int, std::size_t> handleQueued_ GUARDED_BY(mu_);
+    /** Ready index, keyed by PlacedMatrix::uid; only groups with
+     *  ready work are present. */
+    std::map<u64, ReadyGroup> ready_ GUARDED_BY(mu_);
+    /** Reused queue view handed to the dequeue hook. */
+    std::vector<QueuedRequest> hookView_ GUARDED_BY(mu_);
+    /** Reused input rows of one row-split plan part. */
+    std::vector<i64> partInput_ GUARDED_BY(mu_);
     std::map<RequestId, CompletedRequest> results_ GUARDED_BY(mu_);
     std::vector<Cycle> busyUntil_ GUARDED_BY(mu_);
     /** Next same-matrix issue slot per tile (pipelined streaming). */

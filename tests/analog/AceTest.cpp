@@ -269,6 +269,40 @@ TEST(Ace, ProgrammingCostRecorded)
     EXPECT_GT(program.energy, 0.0);
 }
 
+TEST(Ace, DacEnergyCountsActiveRowsPerPlane)
+{
+    // Each bit plane charges its active wordlines: 600 rows over
+    // several row tiles, 12 planes, and negative inputs whose high
+    // bits are set.
+    AceConfig cfg;
+    cfg.numArrays = 64;
+    cfg.arrayRows = 64;
+    cfg.arrayCols = 8;
+    CostTally tally;
+    Ace ace(cfg, &tally);
+    ace.setMatrix(randomMatrix(600, 4, -1, 1, 18), 1, 1);
+    constexpr int kBits = 12;
+    Rng rng(19);
+    std::vector<i64> x(600);
+    for (auto &v : x)
+        v = rng.uniformInt(i64{-2048}, i64{2047});
+    (void)ace.execMvm(x, kBits, 0);
+
+    const double arrays = static_cast<double>(
+        ace.slices() * ace.rowTiles() * ace.colTiles());
+    double energy = 0.0;
+    for (int bit = 0; bit < kBits; ++bit) {
+        std::size_t active = 0;
+        for (i64 v : x)
+            active += (static_cast<u64>(v) >> bit) & 1ULL;
+        energy += static_cast<double>(active) * cfg.rowDriveEnergyPJ *
+                  arrays;
+    }
+    const CostEntry dac = tally.get("ace.dac");
+    EXPECT_EQ(dac.events, static_cast<u64>(kBits));
+    EXPECT_EQ(dac.energy, energy);
+}
+
 TEST(Ace, UpdateRowChangesMvm)
 {
     Ace ace(smallAce());

@@ -5,11 +5,14 @@
  * and bit-identity between interleaved and sequential execution.
  */
 
+#include <array>
+#include <map>
 #include <stdexcept>
 #include <utility>
 
 #include <gtest/gtest.h>
 
+#include "common/Fnv.h"
 #include "common/Random.h"
 #include "runtime/Runtime.h"
 
@@ -700,6 +703,242 @@ TEST(Scheduler, BacklogCyclesTracksQueuedOracleWork)
     EXPECT_LT(rt.scheduler().backlogCycles(), 3 * oracle);
     session.waitAll();
     EXPECT_EQ(rt.scheduler().backlogCycles(), 0u);
+}
+
+TEST(Scheduler, LaterSubmissionOnAnotherPlacementWinsOnStart)
+{
+    // The greedy order is earliest achievable start, not queue order:
+    // a request submitted later against an idle placement runs before
+    // an older request held back by its `earliest` bound.
+    Chip chip(smallChip(2));
+    Runtime rt(chip);
+    Session session = rt.createSession();
+    const MatrixHandle a =
+        session.setMatrix(randomMatrix(8, 8, 0, 1, 542), 1, 0);
+    const MatrixHandle b =
+        session.setMatrix(randomMatrix(8, 8, 0, 1, 543), 1, 0);
+    const MvmFuture held =
+        session.submit(a, std::vector<i64>(8, 1), 1, /*earliest=*/5000);
+    const MvmFuture free_req =
+        session.submit(b, std::vector<i64>(8, 1), 1);
+    const auto r_held = session.wait(held);
+    // Resolving the older request executed the newer one first.
+    EXPECT_EQ(rt.scheduler().pendingCount(), 0u);
+    EXPECT_EQ(rt.scheduler().uncollectedCount(), 1u);
+    EXPECT_EQ(r_held.start, 5000u);
+    EXPECT_EQ(session.wait(free_req).start, 0u);
+}
+
+TEST(Scheduler, LowestIdWithLargestBoundIsNotPickedFirst)
+{
+    // Within one placement the front of the queue carries the largest
+    // bound, so the pick skips it: the younger unconstrained requests
+    // stream through the tile first, in submission order.
+    Chip chip(smallChip(1));
+    Runtime rt(chip);
+    Session session = rt.createSession();
+    const MatrixHandle handle =
+        session.setMatrix(randomMatrix(8, 8, -1, 1, 544), 1, 0);
+    const std::vector<i64> x(8, 1);
+    const MvmFuture front = session.submit(handle, x, 2, 9000);
+    const MvmFuture second = session.submit(handle, x, 2, 0);
+    const MvmFuture third = session.submit(handle, x, 2, 100);
+    const auto r_third = session.wait(third);
+    EXPECT_EQ(rt.scheduler().pendingCount(), 1u);
+    EXPECT_EQ(rt.scheduler().uncollectedCount(), 1u);
+    const auto r_second = session.wait(second);
+    const auto r_front = session.wait(front);
+    EXPECT_EQ(r_second.start, 0u);
+    EXPECT_GT(r_third.start, r_second.start);
+    EXPECT_LT(r_third.start, r_front.start);
+    EXPECT_EQ(r_front.start, 9000u);
+}
+
+/** Pinned outcome of one random drain mix (see drainMix). */
+struct DrainOutcome
+{
+    u64 digest = 0;
+    u64 issued = 0;
+    u64 pipelineHits = 0;
+    u64 dependencyStalls = 0;
+    Cycle makespan = 0;
+};
+
+/**
+ * One random mix on a small chip: five placements (single part,
+ * column stripes, row splits over one and two column tiles) across
+ * two sessions; submits with varied `earliest` bounds and `after`
+ * edges across handles; waits in random order interleaved with
+ * waitAll, drainSession and drainMatrix; a newest-first hook with
+ * out-of-range picks, then the submission-order hook, then none.
+ * The digest folds every result's (id, start, done, values) in id
+ * order and every queue view the hooks saw.
+ */
+DrainOutcome
+drainMix(u64 seed)
+{
+    Chip chip(smallChip(12));
+    Runtime rt(chip);
+    Scheduler &sched = rt.scheduler();
+    Session tenant_a = rt.createSession();
+    Session tenant_b = rt.createSession();
+
+    struct Target
+    {
+        Session *session;
+        MatrixHandle handle;
+    };
+    std::vector<Target> targets;
+    auto place = [&](Session &s, std::size_t rows, std::size_t cols,
+                     int element_bits) {
+        const i64 lo = -(i64{1} << (element_bits - 1));
+        targets.push_back(
+            {&s, s.setMatrixBits(randomMatrix(rows, cols, lo, -lo - 1,
+                                              seed * 16 + targets.size()),
+                                 element_bits, 1)});
+    };
+    place(tenant_a, 8, 8, 2);
+    place(tenant_a, 8, 40, 2);
+    place(tenant_a, 40, 8, 2);
+    place(tenant_b, 24, 16, 4);
+    place(tenant_b, 8, 8, 2);
+    EXPECT_EQ(targets[1].handle.plan().parts.size(), 2u);
+    EXPECT_FALSE(targets[1].handle.plan().rowSplit);
+    EXPECT_TRUE(targets[2].handle.plan().rowSplit);
+    EXPECT_EQ(targets[3].handle.plan().parts.size(), 4u);
+    EXPECT_TRUE(targets[3].handle.plan().rowSplit);
+
+    u64 view_digest = kFnvOffsetBasis;
+    std::size_t hook_calls = 0;
+    auto newest_first = [&](const std::vector<QueuedRequest> &queue) {
+        for (const QueuedRequest &q : queue)
+            for (u64 word :
+                 {q.id, q.session, static_cast<u64>(q.handle),
+                  q.earliest, q.achievableStart, q.oracleCost,
+                  static_cast<u64>(q.ready)})
+                view_digest = fnv1aWord(word, view_digest);
+        // Every fifth pick is out of range; a newest pick that is not
+        // ready yet also falls back to the greedy order.
+        if (++hook_calls % 5 == 0)
+            return queue.size();
+        std::size_t best = 0;
+        for (std::size_t i = 1; i < queue.size(); ++i)
+            if (queue[i].id > queue[best].id)
+                best = i;
+        return best;
+    };
+
+    struct Outstanding
+    {
+        MvmFuture future;
+        Session *session;
+    };
+    std::vector<Outstanding> outstanding;
+    std::vector<MvmFuture> submitted;
+    std::map<RequestId, MvmResult> results;
+    Rng rng(seed);
+    auto collect = [&](std::size_t index) {
+        const Outstanding o = outstanding[index];
+        outstanding.erase(outstanding.begin() +
+                          static_cast<std::ptrdiff_t>(index));
+        results.emplace(o.future.id(), o.session->wait(o.future));
+    };
+
+    for (int step = 0; step < 160; ++step) {
+        if (step == 40)
+            sched.setDequeueHook(newest_first);
+        if (step == 80)
+            sched.setDequeueHook(Scheduler::submissionOrderHook());
+        if (step == 110)
+            sched.setDequeueHook(nullptr);
+        const u64 op = rng.uniformInt(u64{20});
+        if (op < 12) {
+            Target &t = targets[rng.uniformInt(targets.size())];
+            const int bits = 1 + static_cast<int>(rng.uniformInt(u64{4}));
+            const i64 lo = -(i64{1} << (bits - 1));
+            std::vector<i64> x(t.handle.plan().rows);
+            for (auto &v : x)
+                v = rng.uniformInt(lo, -lo - 1);
+            const Cycle earliest =
+                rng.uniformInt(u64{3}) == 0 ? rng.uniformInt(u64{4000})
+                                            : 0;
+            std::vector<MvmFuture> after;
+            const u64 deps =
+                submitted.empty() ? 0 : rng.uniformInt(u64{3});
+            for (u64 d = 0; d < deps; ++d)
+                after.push_back(
+                    submitted[submitted.size() - 1 -
+                              rng.uniformInt(std::min<u64>(
+                                  submitted.size(), 6))]);
+            const MvmFuture f = t.session->submit(
+                t.handle, std::move(x), bits, earliest, after);
+            submitted.push_back(f);
+            outstanding.push_back({f, t.session});
+        } else if (op < 16) {
+            if (!outstanding.empty())
+                collect(rng.uniformInt(outstanding.size()));
+        } else if (op == 16) {
+            sched.waitAll();
+        } else if (op == 17) {
+            sched.drainSession(rng.uniformInt(u64{2}) == 0
+                                   ? tenant_a.id()
+                                   : tenant_b.id());
+        } else if (op == 18) {
+            sched.drainMatrix(
+                targets[rng.uniformInt(targets.size())].handle.id());
+        } else {
+            (rng.uniformInt(u64{2}) == 0 ? tenant_a : tenant_b)
+                .waitAll();
+        }
+    }
+    while (!outstanding.empty())
+        collect(rng.uniformInt(outstanding.size()));
+    EXPECT_EQ(sched.pendingCount(), 0u);
+    EXPECT_EQ(sched.uncollectedCount(), 0u);
+    EXPECT_GT(hook_calls, 0u);
+
+    DrainOutcome out;
+    out.digest = view_digest;
+    for (const auto &[id, r] : results) {
+        out.digest = fnv1aWord(id, out.digest);
+        out.digest = fnv1aWord(r.start, out.digest);
+        out.digest = fnv1aWord(r.done, out.digest);
+        out.digest = fnv1aWords(r.values, out.digest);
+    }
+    const SchedulerCounters c = sched.counters();
+    out.issued = c.issued;
+    out.pipelineHits = c.pipelineHits;
+    out.dependencyStalls = c.dependencyStalls;
+    out.makespan = sched.makespan();
+    return out;
+}
+
+// The drain order is pinned: every start, done and value of eight
+// random mixes, the queue views the hooks saw, the counters and the
+// makespan must reproduce the constants recorded with the original
+// linear-scan greedy drain.
+TEST(Scheduler, SchedulerDrainPinned)
+{
+    const std::array<DrainOutcome, 8> pinned = {{
+        {0x1db1b6b863931f39ULL, 99, 56, 39, 15025},
+        {0x236ecd1666ae4540ULL, 93, 57, 38, 14551},
+        {0xac55f507cff3fdc0ULL, 84, 47, 39, 17889},
+        {0xa5b356edd382c57cULL, 110, 63, 38, 14867},
+        {0x9a409244be230f1fULL, 98, 53, 48, 16198},
+        {0x1a5e95c33e8f3490ULL, 102, 60, 40, 19105},
+        {0x3a4d8d034a3013a6ULL, 90, 50, 39, 16368},
+        {0xf41cd709e638b708ULL, 92, 41, 51, 20313},
+    }};
+    for (u64 seed = 1; seed <= pinned.size(); ++seed) {
+        const DrainOutcome got = drainMix(seed);
+        const DrainOutcome &want = pinned[seed - 1];
+        EXPECT_EQ(got.digest, want.digest) << "seed " << seed;
+        EXPECT_EQ(got.issued, want.issued) << "seed " << seed;
+        EXPECT_EQ(got.pipelineHits, want.pipelineHits) << "seed " << seed;
+        EXPECT_EQ(got.dependencyStalls, want.dependencyStalls)
+            << "seed " << seed;
+        EXPECT_EQ(got.makespan, want.makespan) << "seed " << seed;
+    }
 }
 
 } // namespace
