@@ -195,9 +195,10 @@ cachedNominalLatency(std::map<WorkloadKind, Cycle> &cache,
         return it->second;
     TrafficGen gen(1);
     ChipPool pool(pool_cfg);
-    const ModelRef model = pool.placeModel(
-        0, gen.weights(kind, 1), TrafficGen::elementBits(kind),
-        TrafficGen::bitsPerCell(kind), TrafficGen::inputBits(kind));
+    const ModelRef model = pool.place(
+        0, MatrixModel{gen.weights(kind, 1), TrafficGen::elementBits(kind),
+                       TrafficGen::bitsPerCell(kind),
+                       TrafficGen::inputBits(kind)});
     const Cycle cost = pool.nominalServiceCycles(
         model, TrafficGen::inputBits(kind));
     cache[kind] = cost;

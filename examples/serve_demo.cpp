@@ -22,10 +22,12 @@
 
 #include <cstdio>
 #include <sstream>
+#include <variant>
 #include <vector>
 
 #include "journal/Journal.h"
 #include "journal/Replayer.h"
+#include "serve/Admission.h"
 #include "serve/TrafficGen.h"
 
 int
@@ -148,11 +150,10 @@ main()
               report.completed == trace.size();
     for (std::size_t i = 0; i < trace.size(); i += 97) {
         const ServeRequest &req = trace[i];
-        const TenantSpec &spec = setup.tenants[req.tenant];
-        const u64 key = spec.modelKey != 0
-                            ? spec.modelKey
-                            : TrafficGen::privateModelKey(req.tenant);
-        const MatrixI w = gen.weights(spec.kind, key);
+        const MatrixI w =
+            std::get<MatrixModel>(
+                tenantModel(gen, setup.tenants[req.tenant], req.tenant))
+                .weights;
         std::vector<i64> want(w.cols(), 0);
         for (std::size_t c = 0; c < w.cols(); ++c)
             for (std::size_t r = 0; r < w.rows(); ++r)

@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "common/Logging.h"
+
 namespace darth
 {
 namespace digital
@@ -23,10 +25,10 @@ KernelCache::compile(const BitProgram &program)
     if (program.carryOutReg >= program.numRegs)
         return kernel;
 
-    // SSA-purity guard: the interpreter's scratch registers persist
-    // across bit positions, so a program is a pure function of
-    // (a, b, cin) only if every scratch register is written before it
-    // is read. Anything else falls back to the interpreter.
+    // SSA-purity guard: scratch registers persist across bit
+    // positions, so a program is a pure function of (a, b, cin)
+    // only if every scratch register is written before it is read.
+    // Anything else stays uncompiled.
     std::vector<bool> defined(static_cast<std::size_t>(program.numRegs),
                               false);
     defined[kRegA] = defined[kRegB] = true;
@@ -88,6 +90,9 @@ KernelCache::macro(MacroKind kind, LogicFamilyKind family)
     Entry entry;
     entry.program = synthesizeMacro(kind, LogicFamily(family));
     entry.kernel = compile(entry.program);
+    if (!entry.kernel.valid)
+        darth_panic("KernelCache::macro: synthesized ", macroName(kind),
+                    " does not compile to a truth-table kernel");
     return entries_.emplace(key, std::move(entry)).first->second;
 }
 

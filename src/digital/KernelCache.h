@@ -18,10 +18,12 @@
  *
  * Compilation is conservative: a program that reads a scratch
  * register before writing it is not a pure function of its inputs
- * under the interpreter's persistent-scratch semantics, so it is
- * left uncompiled and the interpreter remains the executor. The
- * timing/energy model is untouched either way — op counts and stage
- * reservations still come from the synthesized program.
+ * when scratch registers keep their values across bit positions,
+ * so compile() refuses it. Every synthesized macro is SSA-pure, and
+ * macro() panics on one that is not: the pipeline executes compiled
+ * kernels only, and BitProgram::evaluate stays the reference they
+ * are tested against. The timing/energy model is untouched — op counts and
+ * stage reservations still come from the synthesized program.
  */
 
 #ifndef DARTH_DIGITAL_KERNELCACHE_H
@@ -51,7 +53,7 @@ namespace digital
  */
 struct CompiledKernel
 {
-    /** False when the program is not SSA-pure (interpreter fallback). */
+    /** False when the program is not SSA-pure (compile() refused). */
     bool valid = false;
     bool hasCarry = false;
     /**
@@ -87,7 +89,7 @@ struct CompiledKernel
 
 /**
  * Process-wide translation cache shared by every Pipeline (and so by
- * every chip, scratch KernelModel HCT, and worker thread). Entries
+ * every chip and scratch KernelModel HCT). Entries
  * are keyed by (MacroKind, LogicFamilyKind) — the only inputs
  * synthesizeMacro consumes — and never evicted; the whole population
  * is the macro-kind cross logic-family product.
@@ -107,8 +109,9 @@ class KernelCache
 
     /**
      * Look up (synthesizing + compiling on first use) the entry for a
-     * macro kind under a logic family. The returned reference is
-     * stable for the process lifetime. Thread-safe.
+     * macro kind under a logic family; panics if the synthesized
+     * program does not compile. The returned reference is stable for
+     * the process lifetime. Thread-safe.
      */
     const Entry &macro(MacroKind kind, LogicFamilyKind family);
 

@@ -281,49 +281,16 @@ Pipeline::runProgram(const KernelCache::Entry &entry, std::size_t dst,
         cfg_.width == 64 ? ~0ULL : ((1ULL << cfg_.width) - 1);
     u64 carry = carry_in.toInteger();
 
-    // Fast path: the compiled truth-table kernel replaces the op
-    // walk with a fixed handful of word operations per bit column.
+    // The compiled truth-table kernel: a fixed handful of word
+    // operations per bit column, whatever the gate program's length.
     const CompiledKernel &kernel = entry.kernel;
-    if (kernel.valid) {
-        for (std::size_t bit = 0; bit < bits; ++bit) {
-            const u64 wa = bits_[a][bit].toInteger();
-            const u64 wb = bits_[b][bit].toInteger();
-            const u64 out = kernel.evalResult(wa, wb, carry) & width_mask;
-            if (chain_carry && kernel.hasCarry)
-                carry = kernel.evalCarry(wa, wb, carry) & width_mask;
-            bits_[dst][bit].setWord(out);
-        }
-        return;
-    }
-
-    const BitProgram &program = entry.program;
-    std::vector<u64> regs(static_cast<std::size_t>(program.numRegs),
-                          0ULL);
     for (std::size_t bit = 0; bit < bits; ++bit) {
-        regs[kRegA] = bits_[a][bit].toInteger();
-        regs[kRegB] = bits_[b][bit].toInteger();
-        regs[kRegCin] = carry;
-        regs[kRegZero] = 0ULL;
-        for (const auto &op : program.ops) {
-            const u64 sa = regs[static_cast<std::size_t>(op.srcA)];
-            const u64 sb = regs[static_cast<std::size_t>(op.srcB)];
-            u64 out = 0;
-            switch (op.prim) {
-              case Prim::Nor: out = ~(sa | sb); break;
-              case Prim::Or: out = sa | sb; break;
-              case Prim::And: out = sa & sb; break;
-              case Prim::Nand: out = ~(sa & sb); break;
-              case Prim::Xor: out = sa ^ sb; break;
-              case Prim::Xnor: out = ~(sa ^ sb); break;
-              case Prim::Not: out = ~sa; break;
-              case Prim::Copy: out = sa; break;
-            }
-            regs[static_cast<std::size_t>(op.dst)] = out & width_mask;
-        }
-        bits_[dst][bit].setWord(
-            regs[static_cast<std::size_t>(program.resultReg)]);
-        if (chain_carry && program.hasCarryChain())
-            carry = regs[static_cast<std::size_t>(program.carryOutReg)];
+        const u64 wa = bits_[a][bit].toInteger();
+        const u64 wb = bits_[b][bit].toInteger();
+        const u64 out = kernel.evalResult(wa, wb, carry) & width_mask;
+        if (chain_carry && kernel.hasCarry)
+            carry = kernel.evalCarry(wa, wb, carry) & width_mask;
+        bits_[dst][bit].setWord(out);
     }
 }
 

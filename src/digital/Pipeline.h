@@ -252,9 +252,9 @@ class Pipeline
     void materializeStages();
 
     /**
-     * Functionally evaluate a cached macro column-parallel: the
-     * compiled truth-table kernel when the program compiled, the
-     * BitProgram interpreter otherwise (bit-identical either way).
+     * Functionally evaluate a cached macro column-parallel through
+     * its compiled truth-table kernel (every cached macro compiles;
+     * see KernelCache::macro).
      *
      * @param carry        Initial carry/select column fed to kRegCin.
      * @param chain_carry  Propagate carry-out between bit positions.

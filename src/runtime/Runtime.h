@@ -143,8 +143,8 @@ class Runtime
     /** freeHcts() body, for callers already holding the guard. */
     std::size_t freeHctsLocked() const REQUIRES(mu_);
 
-    /** Guards the placement registry and the id/uid counters. A
-     *  no-op capability until the threading work lands (see
+    /** Guards the placement registry and the id/uid counters. One
+     *  thread drives a runtime, so the lock never contends (see
      *  common/ThreadAnnotations.h). */
     mutable SeqMutex mu_;
 

@@ -170,10 +170,10 @@ struct MvmResult
 /**
  * Packs queued MVM requests onto free HCTs.
  *
- * Thread-safety contract (enforced by clang -Wthread-safety, a no-op
- * at runtime until the per-chip worker threads land): every queue,
- * timing table, and counter is GUARDED_BY(mu_); public entry points
- * take the lock, private helpers REQUIRE it. See
+ * Thread-safety contract (enforced by clang -Wthread-safety): one
+ * thread drives a scheduler, so the lock never contends; every
+ * queue, timing table, and counter is still GUARDED_BY(mu_), public
+ * entry points take the lock, private helpers REQUIRE it. See
  * common/ThreadAnnotations.h.
  */
 class Scheduler
@@ -293,8 +293,8 @@ class Scheduler
 
     /** Lifetime counters (issues, pipeline hits, dependency stalls),
      *  plus a snapshot of the process-wide compiled-kernel cache
-     *  audit. Returned by value: a snapshot stays coherent once
-     *  worker threads mutate the counters concurrently. */
+     *  audit. Returned by value: a snapshot, unaffected by later
+     *  issues. */
     SchedulerCounters counters() const EXCLUDES(mu_);
 
     /**

@@ -70,10 +70,10 @@ class MatrixHandle
 /**
  * One client's view of the runtime.
  *
- * The session's liveness state (rt_, id_) is GUARDED_BY(mu_): once
- * per-chip worker threads exist, a teardown/move on one thread can
- * race a submit on another, and the annotations make clang prove
- * every access takes the guard first.
+ * The session's liveness state (rt_, id_) is GUARDED_BY(mu_). One
+ * thread drives a session; the annotations make clang prove every
+ * access takes the guard, so a caller that does share a session
+ * cannot race a teardown/move against a submit.
  */
 class Session
 {
@@ -154,8 +154,8 @@ class Session
     /** Throw std::invalid_argument if the session was released. */
     void requireLive(const char *what) const REQUIRES(mu_);
 
-    /** Guards the liveness state against a future teardown/submit
-     *  race; a no-op capability until the threading work lands. */
+    /** Guards the liveness state (uncontended: one thread drives a
+     *  session). */
     mutable SeqMutex mu_;
 
     Runtime *rt_ GUARDED_BY(mu_);

@@ -199,10 +199,21 @@ struct Tenant
 };
 
 /**
- * Place every spec's model in the pool (weights from the traffic
- * generator) and build the admission-layer tenant list. Specs with a
- * non-zero modelKey share weights — and, under MatrixAffinity
- * placement, the placement itself.
+ * The model one tenant spec serves, weights from the traffic
+ * generator. A non-zero modelKey names the weights (shared by every
+ * spec with that key); a zero modelKey is a private model whose
+ * weights are salted by the tenant's index
+ * (TrafficGen::privateModelKey), so placing the tenant again — a
+ * migration, a lazy arrival — regenerates bit-identical weights.
+ */
+ModelSpec tenantModel(const TrafficGen &gen, const TenantSpec &spec,
+                      std::size_t tenant_index);
+
+/**
+ * Place every spec's model (tenantModel) in the pool and build the
+ * admission-layer tenant list. Specs with a non-zero modelKey share
+ * weights — and, under MatrixAffinity placement, the placement
+ * itself.
  */
 std::vector<Tenant> buildTenants(ChipPool &pool, const TrafficGen &gen,
                                  const std::vector<TenantSpec> &specs);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <utility>
+#include <variant>
 
 #include "common/Logging.h"
 #include "journal/Journal.h"
@@ -103,8 +104,7 @@ ChipPool::ChipPool(const PoolConfig &cfg) : cfg_(cfg)
         sessions_.push_back(runtimes_.back()->createSession());
         // Mappers are built eagerly (they are cheap: a config and a
         // kernel cost model) so the vectors are immutable after
-        // construction — no lazy-init state for worker threads to
-        // race on. 12-bit LLM activations: encoder add-norm outputs
+        // construction. 12-bit LLM activations: encoder add-norm outputs
         // are integer LayerNorm values (up to ~64 * sqrt(dModel)),
         // which overflow the int8 range the single-MVM kinds use.
         cnnMappers_.push_back(
@@ -222,10 +222,9 @@ ChipPool::lessLoaded(std::size_t a, std::size_t b) const
 }
 
 ChipPool::PlacementQuote
-ChipPool::quoteChips(
-    const std::function<std::pair<std::size_t, double>(std::size_t)>
-        &per_chip)
+ChipPool::quoteChips(const ModelSpec &model)
 {
+    const bool scored = cfg_.placement == PlacementPolicy::CostAware;
     PlacementQuote quote(chips_.size());
     for (std::size_t c = 0; c < chips_.size(); ++c) {
         if (uniform_ && c > 0) {
@@ -237,16 +236,18 @@ ChipPool::quoteChips(
             continue;
         }
         try {
-            const auto quoted = per_chip(c);
+            const auto quoted = std::visit(
+                [&](const auto &m) { return chipQuote(c, m, scored); },
+                model);
             quote.parts[c] = quoted.first;
             quote.score[c] = quoted.second;
         } catch (const std::exception &e) {
-            // This chip's silicon cannot map the shape; exclude it
+            // This chip's silicon cannot map the model; exclude it
             // but keep the reason for the no-chip-fits diagnostic.
             quote.why[c] = e.what();
         }
     }
-    // per_chip quotes the shape's *silicon* cost (replicable across
+    // chipQuote prices the model's *silicon* (replicable across
     // uniform slots); the backlog inflation is runtime state and
     // always per slot.
     for (std::size_t c = 0; c < chips_.size(); ++c)
@@ -274,49 +275,30 @@ ChipPool::pickChip(const PlacementQuote &quote, const char *what,
                 return c;
             }
         }
-    } else if (cfg_.placement == PlacementPolicy::CostAware) {
-        // Cheapest oracle cost for this shape on that chip's
-        // silicon; equal-cost chips (identical specs, typically)
-        // fall back to the least-loaded order.
-        bool found = false;
-        std::size_t best = 0;
-        for (std::size_t c = 0; c < n; ++c) {
-            if (!fits(c))
-                continue;
-            if (!found || quote.score[c] < quote.score[best] ||
-                (quote.score[c] == quote.score[best] &&
-                 lessLoaded(c, best))) {
-                found = true;
-                best = c;
-            }
-        }
-        if (found)
-            return best;
     } else {
-        // LeastLoaded (also the MatrixAffinity fallback for keys the
-        // pool has not seen): most free tiles, then the chip whose
-        // schedule ends soonest, then the lowest index.
-        bool found = false;
-        std::size_t best = 0;
-        for (std::size_t c = 0; c < n; ++c) {
-            if (!fits(c))
-                continue;
-            if (!found || lessLoaded(c, best)) {
-                found = true;
+        // Cheapest score, then the least-loaded order: most free
+        // tiles, then the chip whose schedule ends soonest, then the
+        // lowest index. Only CostAware scores — every other quote is
+        // 0 — so LeastLoaded (and MatrixAffinity for a key the pool
+        // has not seen) is this scan's least-loaded order alone.
+        std::size_t best = kNoChip;
+        for (std::size_t c = 0; c < n; ++c)
+            if (fits(c) &&
+                (best == kNoChip || quote.score[c] < quote.score[best] ||
+                 (quote.score[c] == quote.score[best] &&
+                  lessLoaded(c, best))))
                 best = c;
-            }
-        }
-        if (found)
+        if (best != kNoChip)
             return best;
     }
-    // Nothing fits. tryPlace* callers handle exhaustion themselves
+    // Nothing fits. tryPlace callers handle exhaustion themselves
     // (an aborted migration, a deferred lazy placement) ...
     if (!fatal)
         return kNoChip;
-    // ... the place* entry points report each chip's quote (tiles
-    // needed vs free, inactive/avoided, or why the shape could not
-    // even be planned there) so a swallowed planning error is not
-    // mistaken for exhaustion.
+    // ... place reports each chip's quote (tiles needed vs free,
+    // inactive/avoided, or why the model could not even be planned
+    // there) so a swallowed planning error is not mistaken for
+    // exhaustion.
     std::string detail;
     for (std::size_t c = 0; c < n; ++c) {
         detail += " [" + specs_[c].name + std::to_string(c) + ": ";
@@ -336,27 +318,10 @@ ChipPool::pickChip(const PlacementQuote &quote, const char *what,
                       " free tiles";
         detail += "]";
     }
-    darth_fatal(what, ": no chip can take the placement;", detail,
+    darth_fatal("ChipPool::place: no chip can take the ", what,
+                " placement;", detail,
                 " — grow the pool or release models");
 }
-
-namespace
-{
-
-/** Full weight compare for affinity sharing (models are small). */
-bool
-sameMatrix(const MatrixI &a, const MatrixI &b)
-{
-    if (a.rows() != b.rows() || a.cols() != b.cols())
-        return false;
-    for (std::size_t r = 0; r < a.rows(); ++r)
-        for (std::size_t c = 0; c < a.cols(); ++c)
-            if (a(r, c) != b(r, c))
-                return false;
-    return true;
-}
-
-} // namespace
 
 double
 ChipPool::loadFactor(std::size_t chip) const
@@ -370,21 +335,76 @@ ChipPool::loadFactor(std::size_t chip) const
                      static_cast<double>(cfg_.backlogWindowNs);
 }
 
-double
-ChipPool::scoreFor(std::size_t chip, const runtime::MatrixPlan &plan,
-                   int input_bits)
+std::size_t
+ChipPool::planTiles(std::size_t c, std::size_t rows, std::size_t cols,
+                    int element_bits, int bits_per_cell) const
 {
-    return rawCostScore(chip, plan, input_bits) * loadFactor(chip);
+    return runtime::Runtime::planMatrix(specs_[c].chip.hct, rows, cols,
+                                        element_bits, bits_per_cell)
+        .parts.size();
 }
 
-double
-ChipPool::rawCostScore(std::size_t chip,
-                       const runtime::MatrixPlan &plan,
-                       int input_bits)
+std::pair<std::size_t, double>
+ChipPool::matrixQuote(std::size_t c, std::size_t rows, std::size_t cols,
+                      int element_bits, int bits_per_cell,
+                      int input_bits, bool scored)
 {
+    const auto plan = runtime::Runtime::planMatrix(
+        specs_[c].chip.hct, rows, cols, element_bits, bits_per_cell);
+    if (!scored)
+        return {plan.parts.size(), 0.0};
     const Cycle cost =
-        runtimes_[chip]->scheduler().oracleCost(plan, input_bits);
-    return static_cast<double>(cost) / specs_[chip].clockGHz;
+        runtimes_[c]->scheduler().oracleCost(plan, input_bits);
+    return {plan.parts.size(),
+            static_cast<double>(cost) / specs_[c].clockGHz};
+}
+
+std::pair<std::size_t, double>
+ChipPool::chipQuote(std::size_t c, const MatrixModel &m, bool scored)
+{
+    return matrixQuote(c, m.weights.rows(), m.weights.cols(),
+                       m.elementBits, m.bitsPerCell, m.inputBits,
+                       scored);
+}
+
+std::pair<std::size_t, double>
+ChipPool::chipQuote(std::size_t c, const cnn::TinyCnn &net,
+                    bool scored)
+{
+    // Whole-network placement: every layer's plan must fit one chip.
+    cnn::CnnMapper &mapper = cnnMapper(c);
+    const auto layers = net.layerStats();
+    std::size_t parts = 0;
+    for (const cnn::LayerStats &layer : layers)
+        parts += planTiles(c, layer.mvmRows, layer.mvmCols,
+                           mapper.elementBits(), mapper.bitsPerCell());
+    if (!scored)
+        return {parts, 0.0};
+    return {parts, static_cast<double>(
+                       mapper.networkCost(layers).latency) /
+                       specs_[c].clockGHz};
+}
+
+std::pair<std::size_t, double>
+ChipPool::chipQuote(std::size_t c, const llm::Encoder &enc, bool scored)
+{
+    llm::LlmMapper &mapper = llmMapper(c);
+    const llm::EncoderStats stats = enc.stats();
+    std::size_t parts = 0;
+    for (const auto &group : stats.staticMvms)
+        parts += planTiles(c, group.rows, group.cols,
+                           mapper.elementBits(), mapper.bitsPerCell());
+    // staticMvms groups the four dModel x dModel projections as one
+    // shape; the placements are per matrix, so scale that group.
+    // (Q/K/V/O share a shape but not tiles.)
+    const std::size_t d = enc.config().dModel;
+    parts += 3 * planTiles(c, d, d, mapper.elementBits(),
+                           mapper.bitsPerCell());
+    if (!scored)
+        return {parts, 0.0};
+    return {parts, static_cast<double>(
+                       mapper.hybridCost(stats).latency) /
+                       specs_[c].clockGHz};
 }
 
 double
@@ -395,273 +415,145 @@ ChipPool::placementScore(std::size_t chip, std::size_t rows,
     if (chip >= chips_.size())
         darth_panic("ChipPool::placementScore: chip ", chip,
                     " out of range ", chips_.size());
-    const auto plan = runtime::Runtime::planMatrix(
-        specs_[chip].chip.hct, rows, cols, element_bits,
-        bits_per_cell);
-    return scoreFor(chip, plan, input_bits);
+    return matrixQuote(chip, rows, cols, element_bits, bits_per_cell,
+                       input_bits, /*scored=*/true)
+               .second *
+           loadFactor(chip);
 }
 
-ModelRef
-ChipPool::placeModel(u64 key, const MatrixI &m, int element_bits,
-                     int bits_per_cell, int input_bits)
+void
+ChipPool::build(Model &model, MatrixModel m)
 {
-    return placeModelImpl(key, m, element_bits, bits_per_cell,
-                          input_bits, PlaceOptions{}, /*fatal=*/true);
+    model.handle = sessions_[model.chip].setMatrixBits(
+        m.weights, m.elementBits, m.bitsPerCell);
 }
 
-ModelRef
-ChipPool::tryPlaceModel(u64 key, const MatrixI &m, int element_bits,
-                        int bits_per_cell, int input_bits,
-                        const PlaceOptions &opts)
+void
+ChipPool::build(Model &model, cnn::TinyCnn net)
 {
-    return placeModelImpl(key, m, element_bits, bits_per_cell,
-                          input_bits, opts, /*fatal=*/false);
-}
-
-ModelRef
-ChipPool::placeModelImpl(u64 key, const MatrixI &m, int element_bits,
-                         int bits_per_cell, int input_bits,
-                         const PlaceOptions &opts, bool fatal)
-{
-    SeqLock lock(mu_);
-    if (sharesByKey(cfg_.placement) && key != 0 &&
-        !opts.freshPlacement) {
-        const auto it = affinity_.find(key);
-        if (it != affinity_.end()) {
-            // Sharing silently returns the existing placement; an
-            // offered matrix that differs from what the key names
-            // would make every later MVM silently wrong, so check it
-            // (models are small enough for a full compare).
-            const Model &held = models_[it->second];
-            if (held.inference != nullptr ||
-                !sameMatrix(held.handle.matrix(), m))
-                darth_fatal("ChipPool::placeModel: model key ", key,
-                            " is already placed with a different "
-                            "model; use a fresh key per distinct "
-                            "matrix");
-            recordPlacement(journal_, it->second, key, held.chip,
-                            0.0, "mvm", /*shared=*/true);
-            return it->second;
-        }
-    }
-
-    const PlacementQuote quote = quoteChips([&](std::size_t c) {
-        const auto plan = runtime::Runtime::planMatrix(
-            specs_[c].chip.hct, m.rows(), m.cols(), element_bits,
-            bits_per_cell);
-        const double score =
-            cfg_.placement == PlacementPolicy::CostAware
-                ? rawCostScore(c, plan, input_bits)
-                : 0.0;
-        return std::make_pair(plan.parts.size(), score);
-    });
-    const std::size_t c = pickChip(quote, "ChipPool::placeModel",
-                                   opts.avoidChip, fatal);
-    if (c == kNoChip)
-        return kNoModel;
-
-    Model model;
-    model.key = key;
-    model.chip = c;
-    model.handle =
-        sessions_[c].setMatrixBits(m, element_bits, bits_per_cell);
-    models_.push_back(std::move(model));
-    const ModelRef ref = models_.size() - 1;
-    if (sharesByKey(cfg_.placement) && key != 0)
-        affinity_[key] = ref;
-    recordPlacement(journal_, ref, key, c, quote.score[c], "mvm",
-                    /*shared=*/false);
-    return ref;
-}
-
-ModelRef
-ChipPool::placeCnnInference(u64 key, cnn::TinyCnn net)
-{
-    return placeCnnImpl(key, std::move(net), PlaceOptions{},
-                        /*fatal=*/true);
-}
-
-ModelRef
-ChipPool::tryPlaceCnnInference(u64 key, cnn::TinyCnn net,
-                               const PlaceOptions &opts)
-{
-    return placeCnnImpl(key, std::move(net), opts, /*fatal=*/false);
-}
-
-ModelRef
-ChipPool::placeCnnImpl(u64 key, cnn::TinyCnn net,
-                       const PlaceOptions &opts, bool fatal)
-{
-    SeqLock lock(mu_);
-    if (sharesByKey(cfg_.placement) && key != 0 &&
-        !opts.freshPlacement) {
-        const auto it = affinity_.find(key);
-        if (it != affinity_.end()) {
-            const Model &held = models_[it->second];
-            const bool same =
-                held.inference != nullptr &&
-                held.inference->cnnNet != nullptr &&
-                sameMatrix(held.inference->cnnNet->conv1()
-                               .weightMatrix(),
-                           net.conv1().weightMatrix()) &&
-                sameMatrix(held.inference->cnnNet->conv2()
-                               .weightMatrix(),
-                           net.conv2().weightMatrix()) &&
-                sameMatrix(held.inference->cnnNet->fc().weightMatrix(),
-                           net.fc().weightMatrix());
-            if (!same)
-                darth_fatal("ChipPool::placeCnnInference: model key ",
-                            key, " is already placed with a different "
-                            "model; use a fresh key per distinct "
-                            "network");
-            recordPlacement(journal_, it->second, key, held.chip,
-                            0.0, "cnn_infer", /*shared=*/true);
-            return it->second;
-        }
-    }
-
-    // Whole-network placement: every layer's plan must fit one chip,
-    // so quote each chip's silicon separately.
-    const auto layers = net.layerStats();
-    const PlacementQuote quote = quoteChips([&](std::size_t c) {
-        cnn::CnnMapper &mapper = cnnMapper(c);
-        std::size_t parts = 0;
-        for (const cnn::LayerStats &layer : layers)
-            parts += runtime::Runtime::planMatrix(
-                         specs_[c].chip.hct, layer.mvmRows,
-                         layer.mvmCols, mapper.elementBits(),
-                         mapper.bitsPerCell())
-                         .parts.size();
-        const double score =
-            cfg_.placement == PlacementPolicy::CostAware
-                ? static_cast<double>(
-                      mapper.networkCost(layers).latency) /
-                      specs_[c].clockGHz
-                : 0.0;
-        return std::make_pair(parts, score);
-    });
-    const std::size_t c = pickChip(
-        quote, "ChipPool::placeCnnInference", opts.avoidChip, fatal);
-    if (c == kNoChip)
-        return kNoModel;
-    cnn::CnnMapper &mapper = cnnMapper(c);
-
+    cnn::CnnMapper &mapper = cnnMapper(model.chip);
     auto inference = std::make_unique<InferenceModel>();
     inference->cnnNet = std::make_unique<cnn::TinyCnn>(std::move(net));
     inference->cnnFwd = std::make_unique<cnn::TinyCnnForward>(
-        sessions_[c], *inference->cnnNet, mapper);
+        sessions_[model.chip], *inference->cnnNet, mapper);
     inference->inputRows = inference->cnnNet->inputSize();
     inference->oracleCost =
         mapper.networkCost(inference->cnnNet->layerStats()).latency;
-
-    Model model;
-    model.key = key;
-    model.chip = c;
     model.inference = std::move(inference);
-    models_.push_back(std::move(model));
-    const ModelRef ref = models_.size() - 1;
-    if (sharesByKey(cfg_.placement) && key != 0)
-        affinity_[key] = ref;
-    recordPlacement(journal_, ref, key, c, quote.score[c],
-                    "cnn_infer", /*shared=*/false);
-    return ref;
+}
+
+void
+ChipPool::build(Model &model, llm::Encoder enc)
+{
+    llm::LlmMapper &mapper = llmMapper(model.chip);
+    auto inference = std::make_unique<InferenceModel>();
+    inference->llmEnc = std::make_unique<llm::Encoder>(std::move(enc));
+    inference->llmFwd = std::make_unique<llm::EncoderForward>(
+        sessions_[model.chip], *inference->llmEnc, mapper);
+    const llm::EncoderConfig &cfg = inference->llmEnc->config();
+    inference->inputRows = cfg.seqLen * cfg.dModel;
+    inference->oracleCost =
+        mapper.hybridCost(inference->llmEnc->stats()).latency;
+    model.inference = std::move(inference);
+}
+
+namespace
+{
+
+/** Journal note of each ModelSpec alternative, by index. */
+constexpr const char *kModelNote[] = {"mvm", "cnn_infer", "llm_infer"};
+
+std::vector<const MatrixI *>
+weightList(const MatrixModel &m)
+{
+    return {&m.weights};
+}
+
+std::vector<const MatrixI *>
+weightList(const cnn::TinyCnn &net)
+{
+    return {&net.conv1().weightMatrix(), &net.conv2().weightMatrix(),
+            &net.fc().weightMatrix()};
+}
+
+std::vector<const MatrixI *>
+weightList(const llm::Encoder &enc)
+{
+    return {&enc.wq(), &enc.wk(),   &enc.wv(),
+            &enc.wo(), &enc.wFf1(), &enc.wFf2()};
+}
+
+} // namespace
+
+std::vector<const MatrixI *>
+ChipPool::Model::weights() const
+{
+    if (inference == nullptr)
+        return {&handle.matrix()};
+    if (inference->cnnNet != nullptr)
+        return weightList(*inference->cnnNet);
+    return weightList(*inference->llmEnc);
 }
 
 ModelRef
-ChipPool::placeLlmInference(u64 key, llm::Encoder enc)
+ChipPool::place(u64 key, ModelSpec model, const PlaceOptions &opts)
 {
-    return placeLlmImpl(key, std::move(enc), PlaceOptions{},
-                        /*fatal=*/true);
+    return placeImpl(key, std::move(model), opts, /*fatal=*/true);
 }
 
 ModelRef
-ChipPool::tryPlaceLlmInference(u64 key, llm::Encoder enc,
-                               const PlaceOptions &opts)
+ChipPool::tryPlace(u64 key, ModelSpec model, const PlaceOptions &opts)
 {
-    return placeLlmImpl(key, std::move(enc), opts, /*fatal=*/false);
+    return placeImpl(key, std::move(model), opts, /*fatal=*/false);
 }
 
 ModelRef
-ChipPool::placeLlmImpl(u64 key, llm::Encoder enc,
-                       const PlaceOptions &opts, bool fatal)
+ChipPool::placeImpl(u64 key, ModelSpec model, const PlaceOptions &opts,
+                    bool fatal)
 {
+    const char *note = kModelNote[model.index()];
+    const bool keyed = sharesByKey(cfg_.placement) && key != 0;
     SeqLock lock(mu_);
-    if (sharesByKey(cfg_.placement) && key != 0 &&
-        !opts.freshPlacement) {
+    if (keyed && !opts.freshPlacement) {
         const auto it = affinity_.find(key);
         if (it != affinity_.end()) {
+            // Sharing silently returns the existing placement; offered
+            // weights that differ from what the key names would make
+            // every later request silently wrong, so compare them all
+            // (models are small). Kinds hold 1, 3 or 6 matrices, so a
+            // different kind never matches.
             const Model &held = models_[it->second];
-            const bool same =
-                held.inference != nullptr &&
-                held.inference->llmEnc != nullptr &&
-                sameMatrix(held.inference->llmEnc->wq(), enc.wq()) &&
-                sameMatrix(held.inference->llmEnc->wk(), enc.wk()) &&
-                sameMatrix(held.inference->llmEnc->wv(), enc.wv()) &&
-                sameMatrix(held.inference->llmEnc->wo(), enc.wo()) &&
-                sameMatrix(held.inference->llmEnc->wFf1(),
-                           enc.wFf1()) &&
-                sameMatrix(held.inference->llmEnc->wFf2(),
-                           enc.wFf2());
-            if (!same)
-                darth_fatal("ChipPool::placeLlmInference: model key ",
-                            key, " is already placed with a different "
-                            "model; use a fresh key per distinct "
-                            "network");
-            recordPlacement(journal_, it->second, key, held.chip,
-                            0.0, "llm_infer", /*shared=*/true);
+            const auto offered = std::visit(
+                [](const auto &m) { return weightList(m); }, model);
+            const auto kept = held.weights();
+            if (!std::equal(kept.begin(), kept.end(), offered.begin(),
+                            offered.end(),
+                            [](const MatrixI *a, const MatrixI *b) {
+                                return *a == *b;
+                            }))
+                darth_fatal("ChipPool::place: model key ", key,
+                            " is already placed with a different ",
+                            "model; use a fresh key per distinct model");
+            recordPlacement(journal_, it->second, key, held.chip, 0.0,
+                            note, /*shared=*/true);
             return it->second;
         }
     }
 
-    const llm::EncoderStats stats = enc.stats();
-    const PlacementQuote quote = quoteChips([&](std::size_t c) {
-        llm::LlmMapper &mapper = llmMapper(c);
-        std::size_t parts = 0;
-        for (const auto &group : stats.staticMvms)
-            parts += runtime::Runtime::planMatrix(
-                         specs_[c].chip.hct, group.rows, group.cols,
-                         mapper.elementBits(), mapper.bitsPerCell())
-                         .parts.size();
-        // staticMvms groups the four dModel x dModel projections as
-        // one shape; the placements are per matrix, so scale that
-        // group. (Q/K/V/O share a shape but not tiles.)
-        parts += 3 * runtime::Runtime::planMatrix(
-                         specs_[c].chip.hct, enc.config().dModel,
-                         enc.config().dModel, mapper.elementBits(),
-                         mapper.bitsPerCell())
-                         .parts.size();
-        const double score =
-            cfg_.placement == PlacementPolicy::CostAware
-                ? static_cast<double>(
-                      mapper.hybridCost(stats).latency) /
-                      specs_[c].clockGHz
-                : 0.0;
-        return std::make_pair(parts, score);
-    });
-    const std::size_t c = pickChip(
-        quote, "ChipPool::placeLlmInference", opts.avoidChip, fatal);
+    const PlacementQuote quote = quoteChips(model);
+    const std::size_t c = pickChip(quote, note, opts.avoidChip, fatal);
     if (c == kNoChip)
         return kNoModel;
-    llm::LlmMapper &mapper = llmMapper(c);
-
-    auto inference = std::make_unique<InferenceModel>();
-    inference->llmEnc = std::make_unique<llm::Encoder>(std::move(enc));
-    inference->llmFwd = std::make_unique<llm::EncoderForward>(
-        sessions_[c], *inference->llmEnc, mapper);
-    inference->inputRows = inference->llmEnc->config().seqLen *
-                           inference->llmEnc->config().dModel;
-    inference->oracleCost = mapper.hybridCost(stats).latency;
-
-    Model model;
-    model.key = key;
-    model.chip = c;
-    model.inference = std::move(inference);
-    models_.push_back(std::move(model));
+    Model placed;
+    placed.key = key;
+    placed.chip = c;
+    std::visit([&](auto &m) { build(placed, std::move(m)); }, model);
+    models_.push_back(std::move(placed));
     const ModelRef ref = models_.size() - 1;
-    if (sharesByKey(cfg_.placement) && key != 0)
+    if (keyed)
         affinity_[key] = ref;
-    recordPlacement(journal_, ref, key, c, quote.score[c],
-                    "llm_infer", /*shared=*/false);
+    recordPlacement(journal_, ref, key, c, quote.score[c], note,
+                    /*shared=*/false);
     return ref;
 }
 
@@ -773,12 +665,6 @@ ChipPool::advanceInference(StagedInference &inference, Cycle admitted)
                     inference.model, "'s run already submitted all ",
                     inference.stageCount(), " stages");
     return inference.run->submitNext(admitted);
-}
-
-Cycle
-ChipPool::stageDoneCycle(StagedInference &inference, std::size_t stage)
-{
-    return inference.run->stepDone(stage);
 }
 
 WallNs

@@ -72,22 +72,22 @@
  * slots can be deactivated (setChipActive) so draining chips accept
  * no new placements, placements can be released mid-run
  * (releaseModel frees the tiles; the caller must first drain the
- * model's in-flight work), and the tryPlace* variants report
- * placement failure with kNoModel instead of aborting — the
- * building blocks of live migration (detach the affinity key,
- * re-place the same weights elsewhere, release the old placement
- * once begun work finishes) and autoscaling.
+ * model's in-flight work), and tryPlace reports placement failure
+ * with kNoModel instead of aborting — the building blocks of live
+ * migration (detach the affinity key, re-place the same weights
+ * elsewhere, release the old placement once begun work finishes)
+ * and autoscaling.
  */
 
 #ifndef DARTH_SERVE_CHIPPOOL_H
 #define DARTH_SERVE_CHIPPOOL_H
 
 #include <cstddef>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "apps/cnn/CnnMapper.h"
@@ -143,14 +143,36 @@ struct PoolConfig
 /** Handle to one model placed somewhere in the pool. */
 using ModelRef = std::size_t;
 
-/** tryPlace* result when no active chip can take the placement. */
+/** tryPlace result when no active chip can take the placement. */
 constexpr ModelRef kNoModel = ~std::size_t{0};
 
-/** tryPlace* `avoidChip` value meaning "no chip excluded". */
+/** PlaceOptions::avoidChip value meaning "no chip excluded". */
 constexpr std::size_t kNoChip = ~std::size_t{0};
 
 /**
- * Knobs of the tryPlace* placement variants (migration plumbing).
+ * One single-MVM model: a weight matrix and the precisions it is
+ * placed and served at.
+ */
+struct MatrixModel
+{
+    MatrixI weights;
+    int elementBits = 8;
+    int bitsPerCell = 2;
+    /** Request precision CostAware scores the shape at (immaterial
+     *  to the other policies). */
+    int inputBits = 8;
+};
+
+/**
+ * What ChipPool::place puts on one chip, moved in: a weight matrix
+ * served one MVM per request, or a whole inference network — a
+ * TinyCnn (three matrices) or a small encoder layer (six) — served
+ * as staged forwards.
+ */
+using ModelSpec = std::variant<MatrixModel, cnn::TinyCnn, llm::Encoder>;
+
+/**
+ * Knobs of one placement (migration plumbing).
  */
 struct PlaceOptions
 {
@@ -218,7 +240,7 @@ struct StagedInference
  *
  * The placement tables (models_, affinity_, the round-robin cursor)
  * are GUARDED_BY(mu_). The threading contract has two phases:
- * placement calls (placeModel and friends) serialize on mu_ and are
+ * placement calls (place, tryPlace) serialize on mu_ and are
  * issued before serving starts; the run-time entry points (submit,
  * wait, beginInference, the model metadata lookups) take mu_ only
  * long enough to resolve the ModelRef, then drive the owning chip's
@@ -279,18 +301,25 @@ class ChipPool
     std::size_t liveModels(std::size_t chip) const EXCLUDES(mu_);
 
     /**
-     * Place a weight matrix on a chip chosen by the placement
-     * policy. Under MatrixAffinity and CostAware a non-zero `key`
-     * already placed returns the existing ModelRef (shared
-     * placement) — fatal if the offered matrix differs from the one
-     * the key already names; otherwise every call creates a fresh
-     * placement. Fatal when no chip has enough free tiles.
-     * `input_bits` is the request precision CostAware scores the
-     * shape at (immaterial to the other policies).
+     * Place a model on a chip chosen by the placement policy. An
+     * inference network's matrices all land on that one chip. Under
+     * MatrixAffinity and CostAware a non-zero `key` already placed
+     * returns the existing ModelRef (shared placement) — fatal if
+     * the offered model's weights differ from the ones the key
+     * already names; otherwise every call creates a fresh placement.
+     * Fatal, naming each chip's reason, when no chip can take it.
      */
-    ModelRef placeModel(u64 key, const MatrixI &m, int element_bits,
-                        int bits_per_cell, int input_bits = 8)
-        EXCLUDES(mu_);
+    ModelRef place(u64 key, ModelSpec model,
+                   const PlaceOptions &opts = {}) EXCLUDES(mu_);
+
+    /**
+     * place() except that exhaustion (no active chip fits, or only
+     * the avoided chip does) returns kNoModel instead of aborting. A
+     * FleetController migrates and lazily places through this so a
+     * full pool degrades to "migration aborted", never to a crash.
+     */
+    ModelRef tryPlace(u64 key, ModelSpec model,
+                      const PlaceOptions &opts = {}) EXCLUDES(mu_);
 
     /**
      * CostAware's score for one single-MVM shape on one chip: the
@@ -304,40 +333,6 @@ class ChipPool
     double placementScore(std::size_t chip, std::size_t rows,
                           std::size_t cols, int element_bits,
                           int bits_per_cell, int input_bits);
-
-    /**
-     * Place a whole TinyCnn inference model (all three layers) on one
-     * chip. Sharing and key semantics match placeModel(): a non-zero
-     * key already placed under MatrixAffinity returns the existing
-     * ModelRef after checking the weights match.
-     */
-    ModelRef placeCnnInference(u64 key, cnn::TinyCnn net)
-        EXCLUDES(mu_);
-
-    /** Place a whole small-encoder inference model (six matrices). */
-    ModelRef placeLlmInference(u64 key, llm::Encoder enc)
-        EXCLUDES(mu_);
-
-    /**
-     * Non-fatal placement variants: identical to placeModel /
-     * placeCnnInference / placeLlmInference except that exhaustion
-     * (no active chip fits, or only the avoided chip does) returns
-     * kNoModel instead of aborting, and PlaceOptions can exclude a
-     * chip and force a fresh placement past the affinity table. A
-     * FleetController migrates and lazily places through these so a
-     * full pool degrades to "migration aborted", never to a crash.
-     */
-    ModelRef tryPlaceModel(u64 key, const MatrixI &m,
-                           int element_bits, int bits_per_cell,
-                           int input_bits = 8,
-                           const PlaceOptions &opts = {})
-        EXCLUDES(mu_);
-    ModelRef tryPlaceCnnInference(u64 key, cnn::TinyCnn net,
-                                  const PlaceOptions &opts = {})
-        EXCLUDES(mu_);
-    ModelRef tryPlaceLlmInference(u64 key, llm::Encoder enc,
-                                  const PlaceOptions &opts = {})
-        EXCLUDES(mu_);
 
     /**
      * Release one placement: frees its tiles (draining any queued
@@ -375,11 +370,6 @@ class ChipPool
      */
     std::size_t advanceInference(StagedInference &inference,
                                  Cycle admitted);
-
-    /** Completion cycle of one submitted stage, in the owning
-     *  chip's cycles (fatal for a stage not yet submitted). */
-    Cycle stageDoneCycle(StagedInference &inference,
-                         std::size_t stage);
 
     /** Completion of one submitted stage in wall-clock
      *  nanoseconds. */
@@ -489,6 +479,10 @@ class ChipPool
         std::unique_ptr<InferenceModel> inference;
         /** False once releaseModel reclaimed the placement. */
         bool live = true;
+
+        /** The weight matrices the placement holds, in the order an
+         *  offered model of the same kind lists them. */
+        std::vector<const MatrixI *> weights() const;
     };
 
     static constexpr std::size_t kUnplaceable = ~std::size_t{0};
@@ -513,20 +507,49 @@ class ChipPool
     };
 
     /**
-     * Quote every chip for a fresh placement. `per_chip(c)` returns
-     * {tiles needed, CostAware score} on chip c's silicon and may
-     * throw when the shape cannot map there (the chip is excluded
-     * and the reason recorded). Uniform pools quote slot 0 once and
-     * replicate — identical silicon, deterministic measurement.
+     * Quote every chip for a fresh placement: chipQuote per slot (a
+     * chip whose silicon cannot map the model is excluded, its
+     * reason kept), then each slot's loadFactor. Uniform pools quote
+     * slot 0 once and replicate — identical silicon, deterministic
+     * measurement.
      */
-    PlacementQuote quoteChips(
-        const std::function<std::pair<std::size_t, double>(
-            std::size_t)> &per_chip);
+    PlacementQuote quoteChips(const ModelSpec &model);
 
-    /** Chip for a fresh placement, by the configured policy
-     *  (touches the round-robin cursor); kNoChip when no active,
-     *  non-avoided chip fits and `fatal` is false, fatal with the
-     *  per-chip diagnosis otherwise. */
+    /**
+     * {tiles needed, silicon score} of one model on chip c, throwing
+     * when its silicon cannot map the model. The score — oracle cost
+     * over clock, no backlog term — is measured only when `scored`
+     * (CostAware) and is 0 otherwise.
+     */
+    std::pair<std::size_t, double>
+    chipQuote(std::size_t c, const MatrixModel &m, bool scored);
+    std::pair<std::size_t, double>
+    chipQuote(std::size_t c, const cnn::TinyCnn &net, bool scored);
+    std::pair<std::size_t, double>
+    chipQuote(std::size_t c, const llm::Encoder &enc, bool scored);
+
+    /** chipQuote of one single-MVM shape (also placementScore's
+     *  backing). */
+    std::pair<std::size_t, double>
+    matrixQuote(std::size_t c, std::size_t rows, std::size_t cols,
+                int element_bits, int bits_per_cell, int input_bits,
+                bool scored);
+
+    /** Tiles one rows x cols matrix needs on chip c's silicon. */
+    std::size_t planTiles(std::size_t c, std::size_t rows,
+                          std::size_t cols, int element_bits,
+                          int bits_per_cell) const;
+
+    /** Build a fresh placement on `model.chip`: the weight handle of
+     *  a single-MVM model, or the network and its forward runner. */
+    void build(Model &model, MatrixModel m);
+    void build(Model &model, cnn::TinyCnn net);
+    void build(Model &model, llm::Encoder enc);
+
+    /** Chip for a fresh placement of a `what` model, by the
+     *  configured policy (touches the round-robin cursor); kNoChip
+     *  when no active, non-avoided chip fits and `fatal` is false,
+     *  fatal with the per-chip diagnosis otherwise. */
     std::size_t pickChip(const PlacementQuote &quote,
                          const char *what, std::size_t avoid_chip,
                          bool fatal) REQUIRES(mu_);
@@ -535,34 +558,15 @@ class ChipPool
      *  (most free tiles, then soonest makespan, then index). */
     bool lessLoaded(std::size_t a, std::size_t b) const;
 
-    /** The CostAware score of an already-planned single-MVM shape
-     *  on one chip: rawCostScore times the chip's loadFactor
-     *  (placementScore's backing). */
-    double scoreFor(std::size_t chip, const runtime::MatrixPlan &plan,
-                    int input_bits);
-
-    /** The silicon-only part of the score (oracle cost over clock,
-     *  no backlog term) — what quoteChips replicates across uniform
-     *  slots before applying per-slot load. */
-    double rawCostScore(std::size_t chip,
-                        const runtime::MatrixPlan &plan,
-                        int input_bits);
-
     /** The CostAware backlog inflation of one chip:
      *  1 + backlogNs / backlogWindowNs. */
     double loadFactor(std::size_t chip) const;
 
-    /** Shared body of placeModel / tryPlaceModel (and the inference
-     *  pair): `fatal` picks the exhaustion behavior. */
-    ModelRef placeModelImpl(u64 key, const MatrixI &m,
-                            int element_bits, int bits_per_cell,
-                            int input_bits, const PlaceOptions &opts,
-                            bool fatal) EXCLUDES(mu_);
-    ModelRef placeCnnImpl(u64 key, cnn::TinyCnn net,
-                          const PlaceOptions &opts, bool fatal)
-        EXCLUDES(mu_);
-    ModelRef placeLlmImpl(u64 key, llm::Encoder enc,
-                          const PlaceOptions &opts, bool fatal)
+    /** The placement body behind place and tryPlace: affinity
+     *  lookup and weight check, quote, pick, registration, and the
+     *  journal record. `fatal` picks the exhaustion behavior. */
+    ModelRef placeImpl(u64 key, ModelSpec model,
+                       const PlaceOptions &opts, bool fatal)
         EXCLUDES(mu_);
 
     const Model &modelRef(ModelRef model, const char *what) const
@@ -607,8 +611,8 @@ class ChipPool
     std::vector<std::unique_ptr<cnn::CnnMapper>> cnnMappers_;
     std::vector<std::unique_ptr<llm::LlmMapper>> llmMappers_;
 
-    /** Guards the mutable placement tables below. A no-op capability
-     *  until the threading work lands (common/ThreadAnnotations.h). */
+    /** Guards the mutable placement tables below; uncontended, since
+     *  one thread drives the pool (common/ThreadAnnotations.h). */
     mutable SeqMutex mu_;
 
     std::vector<Model> models_ GUARDED_BY(mu_);

@@ -37,39 +37,10 @@ ModelRef
 FleetController::place(std::size_t t, const PlaceOptions &opts,
                        bool fatal)
 {
-    const TenantSpec &spec = specs_[t];
-    // Mirror buildTenants' weight identity: a zero modelKey means a
-    // private model salted by the tenant index, so a migration
-    // regenerates bit-identical weights from the same stream.
-    const u64 weight_key = spec.modelKey != 0
-                               ? spec.modelKey
-                               : TrafficGen::privateModelKey(t);
-    switch (spec.kind) {
-      case WorkloadKind::CnnInfer:
-        if (fatal)
-            return pool_.placeCnnInference(spec.modelKey,
-                                           gen_.cnnInferNet(weight_key));
-        return pool_.tryPlaceCnnInference(
-            spec.modelKey, gen_.cnnInferNet(weight_key), opts);
-      case WorkloadKind::LlmInfer:
-        if (fatal)
-            return pool_.placeLlmInference(spec.modelKey,
-                                           gen_.llmInferNet(weight_key));
-        return pool_.tryPlaceLlmInference(
-            spec.modelKey, gen_.llmInferNet(weight_key), opts);
-      default:
-        if (fatal)
-            return pool_.placeModel(
-                spec.modelKey, gen_.weights(spec.kind, weight_key),
-                TrafficGen::elementBits(spec.kind),
-                TrafficGen::bitsPerCell(spec.kind),
-                TrafficGen::inputBits(spec.kind));
-        return pool_.tryPlaceModel(
-            spec.modelKey, gen_.weights(spec.kind, weight_key),
-            TrafficGen::elementBits(spec.kind),
-            TrafficGen::bitsPerCell(spec.kind),
-            TrafficGen::inputBits(spec.kind), opts);
-    }
+    const u64 key = specs_[t].modelKey;
+    ModelSpec model = tenantModel(gen_, specs_[t], t);
+    return fatal ? pool_.place(key, std::move(model), opts)
+                 : pool_.tryPlace(key, std::move(model), opts);
 }
 
 std::vector<Tenant>

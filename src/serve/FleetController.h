@@ -18,7 +18,7 @@
  *    chip can shed one tenant. Migration is re-placement plus the
  *    same inputs: the model's weights are regenerated from the same
  *    weight key (bit-identical by the TrafficGen stream contract),
- *    placed fresh on another chip (tryPlace*, avoiding the source),
+ *    placed fresh on another chip (tryPlace, avoiding the source),
  *    and every tenant sharing the old placement switches over;
  *    requests already bound to the old placement finish there, and
  *    the old tiles are released only when that work drains. Outputs
@@ -171,8 +171,8 @@ class FleetController
                       const std::vector<bool> &draining) const;
 
   private:
-    /** Shared placement body: the spec-kind switch over the
-     *  placement entry points with the tenant's weight key. */
+    /** Place tenant t's model (tenantModel) under its spec's key:
+     *  ChipPool::place when `fatal`, ChipPool::tryPlace otherwise. */
     ModelRef place(std::size_t t, const PlaceOptions &opts,
                    bool fatal);
 

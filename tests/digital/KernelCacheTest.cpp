@@ -64,9 +64,10 @@ TEST_P(KernelCacheTest, CompiledMatchesInterpreterEveryMacro)
             const bool r = program.evaluate(a, b, c, &cout);
             EXPECT_EQ((wr >> lane) & 1, static_cast<u64>(r))
                 << macroName(kind) << " lane " << lane;
-            if (kernel.hasCarry)
+            if (kernel.hasCarry) {
                 EXPECT_EQ((wcout >> lane) & 1, static_cast<u64>(cout))
                     << macroName(kind) << " carry lane " << lane;
+            }
         }
     }
 }
@@ -164,9 +165,9 @@ INSTANTIATE_TEST_SUITE_P(AllFamilies, KernelCacheTest,
 
 /**
  * A program that reads a scratch register before writing it is not a
- * pure function of (a, b, cin) under the interpreter's persistent-
- * scratch semantics; compile() must refuse it so the interpreter
- * stays the executor.
+ * pure function of (a, b, cin) when scratch persists across bit
+ * positions; compile() must refuse it (KernelCache::macro would then
+ * panic rather than run it).
  */
 TEST(KernelCacheCompile, NonSsaProgramFallsBackToInterpreter)
 {

@@ -7,11 +7,14 @@
  */
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include <gtest/gtest.h>
 
+#include "common/Fnv.h"
 #include "common/Random.h"
+#include "journal/Journal.h"
 #include "model/Params.h"
 #include "serve/Admission.h"
 #include "serve/ChipConfig.h"
@@ -77,12 +80,12 @@ TEST(ChipPool, RoundRobinSpreadsPlacements)
     ChipPool pool(poolConfig(4, 2, PlacementPolicy::RoundRobin));
     for (std::size_t i = 0; i < 4; ++i) {
         const ModelRef m =
-            pool.placeModel(0, randomMatrix(8, 8, 600 + i), 1, 1);
+            pool.place(0, MatrixModel{randomMatrix(8, 8, 600 + i), 1, 1});
         EXPECT_EQ(pool.modelChip(m), i);
     }
     // Second lap wraps back to chip 0.
     const ModelRef again =
-        pool.placeModel(0, randomMatrix(8, 8, 610), 1, 1);
+        pool.place(0, MatrixModel{randomMatrix(8, 8, 610), 1, 1});
     EXPECT_EQ(pool.modelChip(again), 0u);
 }
 
@@ -92,16 +95,17 @@ TEST(ChipPool, RoundRobinSkipsFullChips)
     // the rotation walks past it.
     ChipPool pool(poolConfig(3, 1, PlacementPolicy::RoundRobin));
     const ModelRef a =
-        pool.placeModel(0, randomMatrix(8, 8, 620), 1, 1);
+        pool.place(0, MatrixModel{randomMatrix(8, 8, 620), 1, 1});
     const ModelRef b =
-        pool.placeModel(0, randomMatrix(8, 8, 621), 1, 1);
+        pool.place(0, MatrixModel{randomMatrix(8, 8, 621), 1, 1});
     const ModelRef c =
-        pool.placeModel(0, randomMatrix(8, 8, 622), 1, 1);
+        pool.place(0, MatrixModel{randomMatrix(8, 8, 622), 1, 1});
     EXPECT_EQ(pool.modelChip(a), 0u);
     EXPECT_EQ(pool.modelChip(b), 1u);
     EXPECT_EQ(pool.modelChip(c), 2u);
-    EXPECT_THROW(pool.placeModel(0, randomMatrix(8, 8, 623), 1, 1),
-                 std::runtime_error);
+    EXPECT_THROW(
+        pool.place(0, MatrixModel{randomMatrix(8, 8, 623), 1, 1}),
+        std::runtime_error);
 }
 
 TEST(ChipPool, LeastLoadedPicksEmptiestChip)
@@ -109,18 +113,18 @@ TEST(ChipPool, LeastLoadedPicksEmptiestChip)
     ChipPool pool(poolConfig(3, 2, PlacementPolicy::LeastLoaded));
     // All chips empty: ties break to the lowest index.
     const ModelRef a =
-        pool.placeModel(0, randomMatrix(8, 8, 630), 1, 1);
+        pool.place(0, MatrixModel{randomMatrix(8, 8, 630), 1, 1});
     EXPECT_EQ(pool.modelChip(a), 0u);
     // Chip 0 now has fewer free tiles than chips 1 and 2.
     const ModelRef b =
-        pool.placeModel(0, randomMatrix(8, 8, 631), 1, 1);
+        pool.place(0, MatrixModel{randomMatrix(8, 8, 631), 1, 1});
     EXPECT_EQ(pool.modelChip(b), 1u);
     const ModelRef c =
-        pool.placeModel(0, randomMatrix(8, 8, 632), 1, 1);
+        pool.place(0, MatrixModel{randomMatrix(8, 8, 632), 1, 1});
     EXPECT_EQ(pool.modelChip(c), 2u);
     // Back to even load: lowest index again.
     const ModelRef d =
-        pool.placeModel(0, randomMatrix(8, 8, 633), 1, 1);
+        pool.place(0, MatrixModel{randomMatrix(8, 8, 633), 1, 1});
     EXPECT_EQ(pool.modelChip(d), 0u);
 }
 
@@ -128,21 +132,21 @@ TEST(ChipPool, MatrixAffinitySharesPlacements)
 {
     ChipPool pool(poolConfig(2, 2, PlacementPolicy::MatrixAffinity));
     const MatrixI m = randomMatrix(8, 8, 640);
-    const ModelRef first = pool.placeModel(7, m, 1, 1);
+    const ModelRef first = pool.place(7, MatrixModel{m, 1, 1});
     const std::size_t free_after_first =
         pool.freeHcts(pool.modelChip(first));
     // Same key: the existing placement is returned, no tiles consumed.
-    const ModelRef second = pool.placeModel(7, m, 1, 1);
+    const ModelRef second = pool.place(7, MatrixModel{m, 1, 1});
     EXPECT_EQ(first, second);
     EXPECT_EQ(pool.freeHcts(pool.modelChip(first)), free_after_first);
     // A different key places fresh (on the emptier chip).
     const ModelRef other =
-        pool.placeModel(8, randomMatrix(8, 8, 641), 1, 1);
+        pool.place(8, MatrixModel{randomMatrix(8, 8, 641), 1, 1});
     EXPECT_NE(other, first);
     EXPECT_NE(pool.modelChip(other), pool.modelChip(first));
     // Key 0 opts out of sharing even under MatrixAffinity.
-    const ModelRef anon_a = pool.placeModel(0, m, 1, 1);
-    const ModelRef anon_b = pool.placeModel(0, m, 1, 1);
+    const ModelRef anon_a = pool.place(0, MatrixModel{m, 1, 1});
+    const ModelRef anon_b = pool.place(0, MatrixModel{m, 1, 1});
     EXPECT_NE(anon_a, anon_b);
 }
 
@@ -152,17 +156,18 @@ TEST(ChipPool, AffinityKeyReuseWithDifferentWeightsIsFatal)
     // ignoring different offered weights would make every later MVM
     // wrong; it must fail loudly instead.
     ChipPool pool(poolConfig(1, 2, PlacementPolicy::MatrixAffinity));
-    (void)pool.placeModel(9, randomMatrix(8, 8, 660), 1, 1);
-    EXPECT_THROW(pool.placeModel(9, randomMatrix(8, 8, 661), 1, 1),
-                 std::runtime_error);
+    (void)pool.place(9, MatrixModel{randomMatrix(8, 8, 660), 1, 1});
+    EXPECT_THROW(
+        pool.place(9, MatrixModel{randomMatrix(8, 8, 661), 1, 1}),
+        std::runtime_error);
     // Same shape, one differing element: still fatal.
     MatrixI tweaked = randomMatrix(8, 8, 660);
     tweaked(3, 3) ^= 1;
-    EXPECT_THROW(pool.placeModel(9, tweaked, 1, 1),
+    EXPECT_THROW(pool.place(9, MatrixModel{tweaked, 1, 1}),
                  std::runtime_error);
     // The identical matrix still shares cleanly.
     const ModelRef again =
-        pool.placeModel(9, randomMatrix(8, 8, 660), 1, 1);
+        pool.place(9, MatrixModel{randomMatrix(8, 8, 660), 1, 1});
     EXPECT_EQ(pool.modelChip(again), 0u);
 }
 
@@ -171,8 +176,8 @@ TEST(ChipPool, SubmitRoutesToOwningChip)
     ChipPool pool(poolConfig(2, 2, PlacementPolicy::LeastLoaded));
     const MatrixI m_a = randomMatrix(8, 8, 650);
     const MatrixI m_b = randomMatrix(8, 8, 651);
-    const ModelRef a = pool.placeModel(0, m_a, 1, 1);
-    const ModelRef b = pool.placeModel(0, m_b, 1, 1);
+    const ModelRef a = pool.place(0, MatrixModel{m_a, 1, 1});
+    const ModelRef b = pool.place(0, MatrixModel{m_b, 1, 1});
     ASSERT_NE(pool.modelChip(a), pool.modelChip(b));
 
     const std::vector<i64> x(8, 1);
@@ -230,7 +235,7 @@ TEST(ChipPool, InferenceModelRunsWholeForward)
     ChipPool pool(
         inferencePoolConfig(1, PlacementPolicy::LeastLoaded));
     cnn::TinyCnn net(5);
-    const ModelRef model = pool.placeCnnInference(0, cnn::TinyCnn(5));
+    const ModelRef model = pool.place(0, cnn::TinyCnn(5));
     EXPECT_TRUE(pool.isInference(model));
     EXPECT_EQ(pool.modelRows(model), net.inputSize());
 
@@ -250,13 +255,13 @@ TEST(ChipPool, InferenceAffinitySharesNetworks)
     // places a fresh copy.
     ChipPool pool(inferencePoolConfig(
         2, PlacementPolicy::MatrixAffinity));
-    const ModelRef a = pool.placeCnnInference(77, cnn::TinyCnn(5));
-    const ModelRef b = pool.placeCnnInference(77, cnn::TinyCnn(5));
+    const ModelRef a = pool.place(77, cnn::TinyCnn(5));
+    const ModelRef b = pool.place(77, cnn::TinyCnn(5));
     EXPECT_EQ(a, b);
-    const ModelRef c = pool.placeCnnInference(78, cnn::TinyCnn(6));
+    const ModelRef c = pool.place(78, cnn::TinyCnn(6));
     EXPECT_NE(a, c);
     // A reused key with different weights is a configuration error.
-    EXPECT_THROW((void)pool.placeCnnInference(77, cnn::TinyCnn(9)),
+    EXPECT_THROW((void)pool.place(77, cnn::TinyCnn(9)),
                  std::runtime_error);
 }
 
@@ -264,7 +269,7 @@ TEST(ChipPool, SingleMvmCallsOnInferenceModelsAreFatal)
 {
     ChipPool pool(
         inferencePoolConfig(1, PlacementPolicy::LeastLoaded));
-    const ModelRef model = pool.placeCnnInference(0, cnn::TinyCnn(5));
+    const ModelRef model = pool.place(0, cnn::TinyCnn(5));
     EXPECT_THROW((void)pool.submit(model, std::vector<i64>(64, 0), 8),
                  std::runtime_error);
     EXPECT_THROW((void)pool.modelPlan(model), std::runtime_error);
@@ -323,8 +328,8 @@ TEST(ChipPool, CostAwarePrefersCheaperChipPerShape)
     const double wide_sar = pool.placementScore(0, 32, 256, 1, 1, 1);
     const double wide_ramp = pool.placementScore(1, 32, 256, 1, 1, 1);
     ASSERT_LT(wide_ramp, wide_sar);
-    const ModelRef wide = pool.placeModel(
-        0, gen.weights(WorkloadKind::GfWide, 1), 1, 1, 1);
+    const ModelRef wide = pool.place(
+        0, MatrixModel{gen.weights(WorkloadKind::GfWide, 1), 1, 1, 1});
     EXPECT_EQ(pool.modelChip(wide), 1u);
 
     // Narrow 8-bit CNN layer: 16 columns convert in 8 SAR cycles
@@ -333,17 +338,17 @@ TEST(ChipPool, CostAwarePrefersCheaperChipPerShape)
     const double cnn_sar = pool.placementScore(0, 72, 16, 8, 2, 4);
     const double cnn_ramp = pool.placementScore(1, 72, 16, 8, 2, 4);
     ASSERT_LT(cnn_sar, cnn_ramp);
-    const ModelRef narrow = pool.placeModel(
-        0, gen.weights(WorkloadKind::Cnn, 1), 8, 2, 4);
+    const ModelRef narrow = pool.place(
+        0, MatrixModel{gen.weights(WorkloadKind::Cnn, 1), 8, 2, 4});
     EXPECT_EQ(pool.modelChip(narrow), 0u);
 
     // The 32x32 AES MixColumns matrix and the 64x64 projection are
     // both SAR-favoring at these design points.
-    const ModelRef aes = pool.placeModel(
-        0, gen.weights(WorkloadKind::Aes, 1), 1, 1, 1);
+    const ModelRef aes = pool.place(
+        0, MatrixModel{gen.weights(WorkloadKind::Aes, 1), 1, 1, 1});
     EXPECT_EQ(pool.modelChip(aes), 0u);
-    const ModelRef llm = pool.placeModel(
-        0, gen.weights(WorkloadKind::Llm, 1), 8, 2, 4);
+    const ModelRef llm = pool.place(
+        0, MatrixModel{gen.weights(WorkloadKind::Llm, 1), 8, 2, 4});
     EXPECT_EQ(pool.modelChip(llm), 0u);
 }
 
@@ -358,10 +363,10 @@ TEST(ChipPool, CostAwareTiesFallBackToLeastLoaded)
     ChipPool pool(cfg);
     EXPECT_FALSE(pool.heterogeneous());
     TrafficGen gen(12);
-    const ModelRef a = pool.placeModel(
-        0, gen.weights(WorkloadKind::Micro, 1), 1, 1, 1);
-    const ModelRef b = pool.placeModel(
-        0, gen.weights(WorkloadKind::Micro, 2), 1, 1, 1);
+    const ModelRef a = pool.place(
+        0, MatrixModel{gen.weights(WorkloadKind::Micro, 1), 1, 1, 1});
+    const ModelRef b = pool.place(
+        0, MatrixModel{gen.weights(WorkloadKind::Micro, 2), 1, 1, 1});
     EXPECT_EQ(pool.modelChip(a), 0u);
     EXPECT_EQ(pool.modelChip(b), 1u);
 }
@@ -371,18 +376,18 @@ TEST(ChipPool, CostAwareHonoursAffinitySharing)
     ChipPool pool(mixedPoolConfig(PlacementPolicy::CostAware));
     TrafficGen gen(13);
     const MatrixI m = gen.weights(WorkloadKind::GfWide, 7);
-    const ModelRef first = pool.placeModel(7, m, 1, 1, 1);
+    const ModelRef first = pool.place(7, MatrixModel{m, 1, 1, 1});
     const std::size_t free_after =
         pool.freeHcts(pool.modelChip(first));
     // Same key: shared placement, no new tiles, same chip.
-    const ModelRef second = pool.placeModel(7, m, 1, 1, 1);
+    const ModelRef second = pool.place(7, MatrixModel{m, 1, 1, 1});
     EXPECT_EQ(first, second);
     EXPECT_EQ(pool.freeHcts(pool.modelChip(first)), free_after);
     // A reused key with different weights is fatal, as under
     // MatrixAffinity.
     EXPECT_THROW(
-        (void)pool.placeModel(7, gen.weights(WorkloadKind::GfWide, 8),
-                              1, 1, 1),
+        (void)pool.place(
+            7, MatrixModel{gen.weights(WorkloadKind::GfWide, 8), 1, 1, 1}),
         std::runtime_error);
 }
 
@@ -395,9 +400,9 @@ TEST(ChipPool, StagedInferenceChargesSumToNominal)
                                       /*hcts_per_chip=*/9));
     TrafficGen gen(31);
     const ModelRef cnn_model =
-        pool.placeCnnInference(0, gen.cnnInferNet(1));
+        pool.place(0, gen.cnnInferNet(1));
     const ModelRef llm_model =
-        pool.placeLlmInference(0, gen.llmInferNet(2));
+        pool.place(0, gen.llmInferNet(2));
 
     const std::vector<i64> cnn_input(pool.modelRows(cnn_model), 1);
     auto cnn_run = pool.beginInference(cnn_model, cnn_input, 0);
@@ -452,8 +457,8 @@ TEST(ChipPool, CostAwareBacklogPrefersSlowerIdleChip)
     // Idle: the fast chip is strictly cheaper for the same shape.
     EXPECT_LT(pool.placementScore(0, 8, 8, 1, 1, 1),
               pool.placementScore(1, 8, 8, 1, 1, 1));
-    const ModelRef warm = pool.placeModel(
-        0, gen.weights(WorkloadKind::Micro, 1), 1, 1, 1);
+    const ModelRef warm = pool.place(
+        0, MatrixModel{gen.weights(WorkloadKind::Micro, 1), 1, 1, 1});
     EXPECT_EQ(pool.modelChip(warm), 0u);
 
     // Pile unexecuted work onto the fast chip's scheduler.
@@ -467,8 +472,8 @@ TEST(ChipPool, CostAwareBacklogPrefersSlowerIdleChip)
     // cost: queue pressure outweighs the clock advantage.
     EXPECT_GT(pool.placementScore(0, 8, 8, 1, 1, 1),
               pool.placementScore(1, 8, 8, 1, 1, 1));
-    const ModelRef placed = pool.placeModel(
-        0, gen.weights(WorkloadKind::Micro, 2), 1, 1, 1);
+    const ModelRef placed = pool.place(
+        0, MatrixModel{gen.weights(WorkloadKind::Micro, 2), 1, 1, 1});
     EXPECT_EQ(pool.modelChip(placed), 1u);
 }
 
@@ -488,8 +493,8 @@ TEST(ChipPool, CostAwareBacklogMakesAssignmentOrderInsensitive)
         cfg.backlogWindowNs = 200;
         ChipPool pool(cfg);
         TrafficGen gen(33);
-        const ModelRef warm = pool.placeModel(
-            0, gen.weights(WorkloadKind::Micro, 1), 1, 1, 1);
+        const ModelRef warm = pool.place(
+            0, MatrixModel{gen.weights(WorkloadKind::Micro, 1), 1, 1, 1});
         EXPECT_EQ(pool.modelChip(warm), 0u);
         for (int i = 0; i < 8; ++i)
             (void)pool.submit(warm, std::vector<i64>(8, 1), 1);
@@ -497,9 +502,9 @@ TEST(ChipPool, CostAwareBacklogMakesAssignmentOrderInsensitive)
         const MatrixI a = gen.weights(WorkloadKind::Micro, 10);
         const MatrixI b = gen.weights(WorkloadKind::Micro, 11);
         ModelRef first =
-            pool.placeModel(0, swapped ? b : a, 1, 1, 1);
+            pool.place(0, MatrixModel{swapped ? b : a, 1, 1, 1});
         ModelRef second =
-            pool.placeModel(0, swapped ? a : b, 1, 1, 1);
+            pool.place(0, MatrixModel{swapped ? a : b, 1, 1, 1});
         if (swapped)
             std::swap(first, second);
         return std::make_pair(pool.modelChip(first),
@@ -556,6 +561,218 @@ TEST(ChipPool, MixedPoolOutputsBitIdenticalToHomogeneous)
     ASSERT_GT(homog.completed, 0u);
     EXPECT_EQ(homog.completed, mixed.completed);
     EXPECT_EQ(homog.outputChecksum, mixed.outputChecksum);
+}
+
+// ---------------------------------------------------------------------------
+// Placement oracle: every policy, pool shape and model kind, pinned.
+// ---------------------------------------------------------------------------
+
+/** The three model kinds the pool places. */
+enum class PinKind
+{
+    Mvm,
+    Cnn,
+    Llm,
+};
+
+/**
+ * Place the model of `kind` whose weights the generator derives from
+ * `weight_key`: through the fatal entry point when `opts` is null,
+ * through the non-fatal one with `opts` otherwise.
+ */
+ModelRef
+pinPlace(ChipPool &pool, const TrafficGen &gen, PinKind kind, u64 key,
+         u64 weight_key, const PlaceOptions *opts)
+{
+    ModelSpec model = gen.cnnInferNet(weight_key);
+    if (kind == PinKind::Mvm)
+        model = MatrixModel{gen.weights(WorkloadKind::GfWide, weight_key),
+                            1, 1, 1};
+    else if (kind == PinKind::Llm)
+        model = gen.llmInferNet(weight_key);
+    return opts == nullptr ? pool.place(key, std::move(model))
+                           : pool.tryPlace(key, std::move(model), *opts);
+}
+
+/**
+ * One placement scenario: backlog on the first chip picked, an
+ * affinity miss and hit, a private model and its release, a weight
+ * mismatch, the migration move (avoid the current chip, fresh placement, key
+ * rebinds), an inactive chip, and exhaustion. Returns an FNV digest
+ * of every returned ModelRef and chosen chip, the final free-tile
+ * counts and the journal's Placement chain.
+ */
+u64
+placementDigest(PlacementPolicy policy, bool mixed, PinKind kind)
+{
+    // Room for five models of the kind per slot (tiles per model:
+    // MVM 1, TinyCnn 3, encoder 6).
+    const std::size_t hcts = kind == PinKind::Mvm   ? 5
+                             : kind == PinKind::Cnn ? 15
+                                                    : 30;
+    PoolConfig cfg;
+    if (mixed) {
+        cfg.chips = {heteroChipSpec(analog::AdcKind::Sar, hcts),
+                     heteroChipSpec(analog::AdcKind::Ramp, hcts)};
+    } else {
+        cfg.chip = heteroChipSpec(analog::AdcKind::Sar, hcts).chip;
+        cfg.numChips = 3;
+    }
+    cfg.placement = policy;
+    cfg.backlogWindowNs = 200;
+    ChipPool pool(cfg);
+    journal::Journal jr;
+    pool.setJournal(&jr);
+    const TrafficGen gen(77);
+    const bool shares = policy == PlacementPolicy::MatrixAffinity ||
+                        policy == PlacementPolicy::CostAware;
+
+    u64 digest = kFnvOffsetBasis;
+    auto note = [&](ModelRef ref) {
+        digest = fnv1aWord(ref, digest);
+        if (ref != kNoModel)
+            digest = fnv1aWord(pool.modelChip(ref), digest);
+        return ref;
+    };
+    auto place = [&](u64 key, u64 weight_key) {
+        return note(pinPlace(pool, gen, kind, key, weight_key, nullptr));
+    };
+    auto try_place = [&](u64 key, u64 weight_key,
+                         const PlaceOptions &opts) {
+        return note(pinPlace(pool, gen, kind, key, weight_key, &opts));
+    };
+
+    // Queued, unexecuted MVMs load the first pick's scheduler: the
+    // CostAware load factor and the least-loaded makespan see it.
+    const ModelRef warm = note(pinPlace(pool, gen, PinKind::Mvm, 0, 1,
+                                        nullptr));
+    for (int i = 0; i < 4; ++i)
+        (void)pool.submit(warm,
+                          std::vector<i64>(pool.modelRows(warm), 1), 1);
+
+    const ModelRef first = place(5, 5);   // affinity miss
+    const ModelRef again = place(5, 5);   // hit when sharing
+    EXPECT_EQ(first == again, shares);
+    const ModelRef hit = try_place(5, 5, PlaceOptions{});
+    EXPECT_EQ(first == hit, shares);
+    const ModelRef priv = place(0, 6);   // a private model never shares
+    if (shares) {
+        EXPECT_THROW((void)place(5, 7), std::runtime_error);
+    } else {
+        (void)place(5, 7);
+    }
+
+    // Releasing frees its tiles: least-loaded refills the hole,
+    // round-robin keeps rotating.
+    pool.releaseModel(priv);
+
+    // Migration move: same key and weights, a fresh placement off the
+    // first chip; on success the key rebinds to it.
+    PlaceOptions move;
+    move.avoidChip = pool.modelChip(first);
+    move.freshPlacement = true;
+    const ModelRef moved = try_place(5, 5, move);
+    if (moved != kNoModel) {
+        EXPECT_NE(pool.modelChip(moved), pool.modelChip(first));
+        EXPECT_EQ(place(5, 5) == moved, shares);
+    }
+
+    // Drain the last slot, then fill the rest until exhaustion.
+    const std::size_t off = pool.numChips() - 1;
+    pool.setChipActive(off, false);
+    bool exhausted = false;
+    for (u64 w = 100; w < 140 && !exhausted; ++w) {
+        const ModelRef r = try_place(0, w, PlaceOptions{});
+        exhausted = r == kNoModel;
+        if (!exhausted) {
+            EXPECT_NE(pool.modelChip(r), off);
+        }
+    }
+    EXPECT_TRUE(exhausted);
+
+    for (std::size_t c = 0; c < pool.numChips(); ++c)
+        digest = fnv1aWord(pool.freeHcts(c), digest);
+    return fnv1aWord(jr.chainChecksum(), digest);
+}
+
+TEST(ChipPool, PlacementPinned)
+{
+    const PlacementPolicy policies[] = {
+        PlacementPolicy::RoundRobin, PlacementPolicy::LeastLoaded,
+        PlacementPolicy::MatrixAffinity, PlacementPolicy::CostAware};
+    const PinKind kinds[] = {PinKind::Mvm, PinKind::Cnn, PinKind::Llm};
+    // Pinned digests of every placement decision, indexed
+    // [policy][uniform, mixed][kind].
+    const u64 pinned[4][2][3] = {
+        // RoundRobin
+        {{0x5dadd76e9a5e33bcULL, 0x42677979cf1c1020ULL,
+          0xa00f57f46fec648ULL},
+         {0x1b5be5a58a9a40e9ULL, 0x57f38d58e2ff4b43ULL,
+          0xf582de27d1c0d1bbULL}},
+        // LeastLoaded
+        {{0x9c198f87290c4028ULL, 0x51f3b6490e27cbf4ULL,
+          0x2b4ffb9aaf428fa4ULL},
+         {0xbac5d5b311a2f748ULL, 0xe88f725de1e547aaULL,
+          0x61afd4917498d961ULL}},
+        // MatrixAffinity
+        {{0x88a47d4069f38eddULL, 0xa46ea464e5202557ULL,
+          0x5ca9c06859c2934cULL},
+         {0x30ff7e468c53d584ULL, 0x7428665d504f18c4ULL,
+          0x8dd4797555f991afULL}},
+        // CostAware
+        {{0xde794c5615b06f55ULL, 0x54b0fa589538a8d0ULL,
+          0x5cf0e61624f99df2ULL},
+         {0x42094a29fcac5995ULL, 0x635483a4df392a64ULL,
+          0x35db440de37e9e53ULL}},
+    };
+    for (std::size_t p = 0; p < 4; ++p)
+        for (std::size_t mixed = 0; mixed < 2; ++mixed)
+            for (std::size_t k = 0; k < 3; ++k)
+                EXPECT_EQ(placementDigest(policies[p], mixed != 0,
+                                          kinds[k]),
+                          pinned[p][mixed][k])
+                    << placementPolicyName(policies[p])
+                    << (mixed != 0 ? " mixed" : " uniform")
+                    << " kind " << k;
+}
+
+TEST(ChipPool, NoFitMessageNamesEachChipsReason)
+{
+    // Four slots, four reasons a TinyCnn (8-bit weights at 2 bits per
+    // cell: four weight slices, three tiles) cannot land.
+    ChipSpec tiny = uniformChipSpec(4);
+    tiny.name = "tiny";
+    tiny.chip.hct.ace.numArrays = 2;
+    PoolConfig cfg;
+    cfg.chips = {uniformChipSpec(4), tiny, uniformChipSpec(2),
+                 uniformChipSpec(4)};
+    cfg.placement = PlacementPolicy::LeastLoaded;
+    ChipPool pool(cfg);
+    pool.setChipActive(0, false);
+    const TrafficGen gen(78);
+    PlaceOptions avoid;
+    avoid.avoidChip = 3;
+    std::string message;
+    try {
+        (void)pool.place(0, gen.cnnInferNet(1), avoid);
+    } catch (const std::runtime_error &e) {
+        message = e.what();
+    }
+    EXPECT_NE(message.find("[chip0: inactive]"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("[tiny1: unplaceable ("), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("weight slices exceed the ACE array count"),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find("[chip2: needs 3 of 2 free tiles]"),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find("[chip3: avoided]"), std::string::npos)
+        << message;
+    EXPECT_EQ(pool.tryPlace(0, gen.cnnInferNet(1), avoid), kNoModel);
+    // Without the exclusion the last slot takes it.
+    EXPECT_EQ(pool.modelChip(pool.place(0, gen.cnnInferNet(1))), 3u);
 }
 
 } // namespace
