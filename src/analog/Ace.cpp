@@ -1,6 +1,8 @@
 #include "analog/Ace.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 
 #include "common/Logging.h"
@@ -19,6 +21,36 @@ namespace
  * the compiler vectorizes them without a scalar remainder.
  */
 constexpr std::size_t kCodeBlock = 16;
+
+/** kSpreadBits[b] has bit i of b in the low bit of byte i. */
+constexpr std::array<u64, 256> kSpreadBits = [] {
+    std::array<u64, 256> table{};
+    for (u64 b = 0; b < 256; ++b)
+        for (int i = 0; i < 8; ++i)
+            table[b] |= ((b >> i) & 1ULL) << (8 * i);
+    return table;
+}();
+
+/**
+ * counts[bit] += the number of x[r] with bit `bit` set, for every bit
+ * below `planes`: eight planes per pass, counted in the byte lanes of
+ * one word and flushed before a lane can pass 255.
+ */
+void
+countPlaneBits(const std::vector<i64> &x, int planes, std::size_t *counts)
+{
+    for (int lo = 0; lo < planes; lo += 8) {
+        const int lanes_used = std::min(8, planes - lo);
+        for (std::size_t r0 = 0; r0 < x.size(); r0 += 255) {
+            const std::size_t r1 = std::min(x.size(), r0 + 255);
+            u64 lanes = 0;
+            for (std::size_t r = r0; r < r1; ++r)
+                lanes += kSpreadBits[(static_cast<u64>(x[r]) >> lo) & 0xFF];
+            for (int k = 0; k < lanes_used; ++k)
+                counts[lo + k] += (lanes >> (8 * k)) & 0xFF;
+        }
+    }
+}
 
 } // namespace
 
@@ -120,6 +152,17 @@ Ace::reprogramAll()
                                   matrix_.rows() * codeStride_
                             : 0,
                       0);
+    // The narrow exactProduct() kernel's weight copy, laid out like
+    // one slice of cell codes.
+    narrowWeights_.assign(elementBits_ <= 15 ? matrix_.rows() * codeStride_
+                                             : 0,
+                          0);
+    for (std::size_t r = 0; r < matrix_.rows() && !narrowWeights_.empty();
+         ++r)
+        for (std::size_t c = 0; c < matrix_.cols(); ++c)
+            narrowWeights_[r * codeStride_ + c] =
+                static_cast<i16>(matrix_(r, c));
+    ++generation_;
     u64 cells_written = 0;
     for (int s = 0; s < slices_; ++s) {
         for (std::size_t rt = 0; rt < rowTiles_; ++rt) {
@@ -220,46 +263,37 @@ void
 Ace::execMvmInto(const std::vector<i64> &x, int input_bits, Cycle start,
                  std::vector<PartialProduct> &stream)
 {
-    scheduleMvm(x, input_bits, start, stream);
+    const bool negative = checkMvmInput(x, input_bits);
+    streamTiming(input_bits, negative, stream);
+    for (PartialProduct &pp : stream) {
+        pp.convStart += start;
+        pp.readyAt += start;
+    }
+    chargeMvm(x, input_bits);
     fillValues(x, input_bits, stream, 0);
 }
 
-void
-Ace::scheduleMvm(const std::vector<i64> &x, int input_bits, Cycle start,
-                 std::vector<PartialProduct> &stream)
+bool
+Ace::checkMvmInput(const std::vector<i64> &x, int input_bits) const
 {
     if (!hasMatrix())
         darth_fatal("Ace::execMvm: no matrix programmed");
     if (x.size() != matrix_.rows())
         darth_fatal("Ace::execMvm: input length ", x.size(),
                     " != matrix rows ", matrix_.rows());
-    const bool negative = checkInputRange(x, input_bits);
-    const std::size_t cols = matrix_.cols();
+    return checkInputRange(x, input_bits);
+}
+
+void
+Ace::streamTiming(int input_bits, bool negative,
+                  std::vector<PartialProduct> &stream) const
+{
     stream.resize(static_cast<std::size_t>(input_bits) *
                   static_cast<std::size_t>(slices_) * groupsPerSlice_);
-
-    // Resolve the tally accumulators once per MVM; the per-plane and
-    // per-group charges below then skip the string-keyed map lookup.
-    // Safe within one call: nothing clears the tally mid-MVM.
-    CostEntry *t_dac = nullptr;
-    CostEntry *t_array = nullptr;
-    CostEntry *t_sh = nullptr;
-    CostEntry *t_adc = nullptr;
-    if (tally_ != nullptr) {
-        t_dac = &tally_->entry("ace.dac");
-        t_array = &tally_->entry("ace.array");
-        t_sh = &tally_->entry("ace.sh");
-        t_adc = &tally_->entry("ace.adc");
-    }
-    const Cycle conv_latency =
-        adc_.conversionLatency(cols, cfg_.numAdcs, rampSweepStates_);
-    const double conv_energy =
-        adc_.conversionEnergy(cols, cfg_.numAdcs, rampSweepStates_);
-    const double arrays =
-        static_cast<double>(slices_ * rowTiles_ * colTiles_);
-
-    Cycle array_free = start;
-    Cycle adc_free = start;
+    const Cycle conv_latency = adc_.conversionLatency(
+        matrix_.cols(), cfg_.numAdcs, rampSweepStates_);
+    Cycle array_free = 0;
+    Cycle adc_free = 0;
     auto pp = stream.begin();
     for (int bit = 0; bit < input_bits; ++bit) {
         // Drive the wordlines with this bit plane; all arrays of all
@@ -267,22 +301,6 @@ Ace::scheduleMvm(const std::vector<i64> &x, int input_bits, Cycle start,
         const Cycle sampled =
             array_free + cfg_.dacApplyCycles + cfg_.settleCycles;
         array_free = sampled;
-        if (tally_ != nullptr) {
-            std::size_t active_rows = 0;
-            for (i64 v : x)
-                active_rows += (static_cast<u64>(v) >> bit) & 1ULL;
-            t_dac->events += 1;
-            t_dac->cycles += cfg_.dacApplyCycles;
-            t_dac->energy += static_cast<double>(active_rows) *
-                             cfg_.rowDriveEnergyPJ * arrays;
-            t_array->events += 1;
-            t_array->cycles += cfg_.settleCycles;
-            t_array->energy += cfg_.arrayActivationEnergyPJ * arrays;
-            t_sh->events += 1;
-            t_sh->energy += static_cast<double>(cols) *
-                            cfg_.sampleHoldEnergyPJ *
-                            static_cast<double>(slices_ * rowTiles_);
-        }
         for (int s = 0; s < slices_; ++s) {
             for (std::size_t g = 0; g < groupsPerSlice_; ++g, ++pp) {
                 pp->shift = bit + s * bitsPerCell_;
@@ -291,14 +309,59 @@ Ace::scheduleMvm(const std::vector<i64> &x, int input_bits, Cycle start,
                 pp->convStart = std::max(adc_free, sampled);
                 pp->readyAt = pp->convStart + conv_latency;
                 adc_free = pp->readyAt;
-                if (tally_ != nullptr) {
-                    t_adc->events += 1;
-                    t_adc->cycles += conv_latency;
-                    t_adc->energy += conv_energy;
-                }
             }
         }
     }
+}
+
+void
+Ace::chargeMvm(const std::vector<i64> &x, int input_bits)
+{
+    if (tally_ == nullptr)
+        return;
+    // Resolve the tally accumulators once per MVM; the charges below
+    // then skip the string-keyed lookup.
+    CostEntry &t_dac = tally_->entry("ace.dac");
+    CostEntry &t_array = tally_->entry("ace.array");
+    CostEntry &t_sh = tally_->entry("ace.sh");
+    CostEntry &t_adc = tally_->entry("ace.adc");
+    const std::size_t cols = matrix_.cols();
+    const double arrays =
+        static_cast<double>(slices_ * rowTiles_ * colTiles_);
+    const u64 planes = static_cast<u64>(input_bits);
+
+    // Per plane: the wordline drive of its active rows, one array
+    // activation and one sample-and-hold capture. Each energy is
+    // charged once per plane (the constant ones as a repeated add), so
+    // the sums round as the per-plane adds always have.
+    std::array<std::size_t, 64> active_rows{};
+    countPlaneBits(x, input_bits, active_rows.data());
+    for (int bit = 0; bit < input_bits; ++bit)
+        t_dac.energy += static_cast<double>(active_rows[bit]) *
+                        cfg_.rowDriveEnergyPJ * arrays;
+    t_dac.events += planes;
+    t_dac.cycles += planes * cfg_.dacApplyCycles;
+    t_array.events += planes;
+    t_array.cycles += planes * cfg_.settleCycles;
+    addRepeated(t_array.energy, cfg_.arrayActivationEnergyPJ * arrays,
+                planes);
+    t_sh.events += planes;
+    addRepeated(t_sh.energy,
+                static_cast<double>(cols) * cfg_.sampleHoldEnergyPJ *
+                    static_cast<double>(slices_ * rowTiles_),
+                planes);
+
+    // One conversion per partial product.
+    const u64 conversions = planes * static_cast<u64>(slices_) *
+                            groupsPerSlice_;
+    const Cycle conv_latency =
+        adc_.conversionLatency(cols, cfg_.numAdcs, rampSweepStates_);
+    t_adc.events += conversions;
+    t_adc.cycles += conversions * conv_latency;
+    addRepeated(t_adc.energy,
+                adc_.conversionEnergy(cols, cfg_.numAdcs,
+                                      rampSweepStates_),
+                conversions);
 }
 
 void
@@ -312,8 +375,12 @@ Ace::fillValues(const std::vector<i64> &x, int input_bits,
     std::vector<int> bits;
     std::vector<double> v_scratch;
     std::vector<double> analog;
-    std::size_t index = 0;
-    for (int bit = 0; bit < input_bits; ++bit) {
+    // Planes before first's are skipped whole.
+    const std::size_t per_plane =
+        static_cast<std::size_t>(slices_) * groupsPerSlice_;
+    std::size_t index = first / per_plane * per_plane;
+    for (int bit = static_cast<int>(first / per_plane); bit < input_bits;
+         ++bit) {
         for (int s = 0; s < slices_; ++s) {
             for (std::size_t rt = 0; rt < rowTiles_; ++rt) {
                 const std::size_t r0 = rt * rowsPerTile_;
@@ -353,12 +420,46 @@ Ace::fillValues(const std::vector<i64> &x, int input_bits,
 }
 
 void
-Ace::exactProduct(const std::vector<i64> &x, u64 *out) const
+Ace::exactProduct(const std::vector<i64> &x, int input_bits,
+                  u64 *out) const
 {
+    const std::size_t rows = matrix_.rows();
     const std::size_t cols = matrix_.cols();
+    // |x| < 2^input_bits and |w| < 2^elementBits_, so with both at
+    // most 15 bits each fits in i16, and over at most 2^ceil(log2
+    // rows) rows the true sum stays below 2^31 in magnitude, partial
+    // sums included: i16 x i16 -> i32 products into i32 block
+    // accumulators are exact, and sign extension gives the sum modulo
+    // 2^64.
+    const int sum_bits = elementBits_ + input_bits +
+                         static_cast<int>(std::bit_width(rows - 1));
+    if (!narrowWeights_.empty() && input_bits <= 15 && sum_bits <= 31) {
+        // The nonzero inputs once, branch-free: (weight row offset,
+        // input) pairs.
+        nonzero_.resize(rows);
+        std::size_t count = 0;
+        for (std::size_t r = 0; r < rows; ++r) {
+            nonzero_[count] = {r * codeStride_, static_cast<i16>(x[r])};
+            count += x[r] != 0;
+        }
+        for (std::size_t c0 = 0; c0 < cols; c0 += kCodeBlock) {
+            i32 acc[kCodeBlock] = {};
+            for (std::size_t k = 0; k < count; ++k) {
+                const i16 xr = nonzero_[k].second;
+                const i16 *__restrict w =
+                    &narrowWeights_[nonzero_[k].first + c0];
+                for (std::size_t c = 0; c < kCodeBlock; ++c)
+                    acc[c] += static_cast<i32>(xr) * static_cast<i32>(w[c]);
+            }
+            const std::size_t n = std::min(kCodeBlock, cols - c0);
+            for (std::size_t c = 0; c < n; ++c)
+                out[c0 + c] = static_cast<u64>(static_cast<i64>(acc[c]));
+        }
+        return;
+    }
     std::fill(out, out + cols, u64{0});
     const i64 *w = matrix_.data().data();
-    for (std::size_t r = 0; r < matrix_.rows(); ++r) {
+    for (std::size_t r = 0; r < rows; ++r) {
         if (x[r] == 0)
             continue;
         const u64 xr = static_cast<u64>(x[r]);

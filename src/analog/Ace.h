@@ -30,12 +30,17 @@
  * partial product is x.W, because the input planes recombine to x
  * (MSB plane negated when x has negatives) and the slices to W — and
  * exactProduct() gives that sum directly, modulo 2^64, from the
- * programmed matrix. An MVM is two separable halves: scheduleMvm()
- * (each partial product's shift, negate, convStart and readyAt, and
- * every ace.* tally) and fillValues() (the codes). execMvm() runs
- * both; the HCT's ideal reduction runs the schedule, fills only the
- * last partial product (the one its staging register keeps) and takes
- * the accumulator from exactProduct().
+ * programmed matrix (over an i16 copy of the weights with i32
+ * accumulators when the sum provably fits in 31 bits). An MVM splits
+ * into three parts: streamTiming() (each partial product's shift,
+ * negate, convStart and readyAt relative to the start cycle — a pure
+ * function of the programmed shape, the input width and whether any
+ * input is negative), chargeMvm() (every ace.* tally) and
+ * fillValues() (the codes). execMvm() runs all three and offsets the
+ * times by its start; the HCT's ideal reduction keeps the relative
+ * schedule per (input width, sign), charges, fills only the last
+ * partial product (the one its staging register keeps) and takes the
+ * accumulator from exactProduct().
  */
 
 #ifndef DARTH_ANALOG_ACE_H
@@ -43,6 +48,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "analog/Adc.h"
@@ -184,17 +190,28 @@ class Ace
     bool idealArrays() const { return !cellCodes_.empty(); }
 
     /**
-     * Schedule half of execMvmInto(): resizes the stream to the
-     * partial-product count and sets every entry's shift, negate,
-     * convStart and readyAt, charging every ace.* tally, but leaves
-     * `values` untouched. Checks the input as execMvm() does.
+     * The input checks every MVM makes (a programmed matrix, one input
+     * per row, each within input_bits); returns true when any input is
+     * negative, i.e. the MSB plane subtracts.
      */
-    void scheduleMvm(const std::vector<i64> &x, int input_bits,
-                     Cycle start, std::vector<PartialProduct> &stream);
+    bool checkMvmInput(const std::vector<i64> &x, int input_bits) const;
+
+    /**
+     * Timing of the partial-product stream relative to the start
+     * cycle: resizes the stream to the partial-product count and sets
+     * every entry's shift, negate, convStart and readyAt as if the MVM
+     * started at cycle 0, leaving `values` untouched. Pure: depends
+     * only on the programmed shape, input_bits and `negative`.
+     */
+    void streamTiming(int input_bits, bool negative,
+                      std::vector<PartialProduct> &stream) const;
+
+    /** Every ace.* tally charge of one MVM of x (checked input). */
+    void chargeMvm(const std::vector<i64> &x, int input_bits);
 
     /**
      * Value half of execMvmInto(): fills `values` of stream[first..]
-     * for the stream scheduleMvm() sized. Noisy crossbars draw their
+     * for the stream streamTiming() sized. Noisy crossbars draw their
      * read noise in stream order, so a noisy caller fills from 0.
      */
     void fillValues(const std::vector<i64> &x, int input_bits,
@@ -203,11 +220,23 @@ class Ace
 
     /**
      * out[c] = sum over rows of x[r] * matrix(r, c), wrapping modulo
-     * 2^64 (out holds cols() words). On ideal arrays this equals the
-     * stream's shift-and-add reduction modulo any 2^k, k <= 64. Zero
-     * inputs are skipped; reads the stored matrix in place.
+     * 2^64 (out holds cols() words), for x within input_bits as the
+     * MVM checks it. On ideal arrays this equals the stream's
+     * shift-and-add reduction modulo any 2^k, k <= 64. Zero inputs are
+     * skipped. When element bits and input_bits are both <= 15 and
+     * element bits + input_bits + ceil(log2 rows) <= 31, the sum fits
+     * in i32 and runs as i16 x i16 products over an i16 weight copy;
+     * otherwise it reads the stored matrix in place.
      */
-    void exactProduct(const std::vector<i64> &x, u64 *out) const;
+    void exactProduct(const std::vector<i64> &x, int input_bits,
+                      u64 *out) const;
+
+    /**
+     * Bumped every time the arrays are (re)programmed (setMatrix,
+     * updateRow, updateCol): anything derived from the programmed
+     * shape is stale once it moves.
+     */
+    u64 generation() const { return generation_; }
 
     /** Exact integer reference of the full MVM (tests). */
     std::vector<i64> referenceMvm(const std::vector<i64> &x) const;
@@ -259,6 +288,13 @@ class Ace
      */
     std::vector<i16> cellCodes_;
     std::size_t codeStride_ = 0;
+    /** The matrix as i16 with row stride codeStride_ when element bits
+     *  <= 15 (empty otherwise): the narrow exactProduct() kernel. */
+    std::vector<i16> narrowWeights_;
+    /** exactProduct() scratch: (weight row offset, input) of each
+     *  nonzero input. */
+    mutable std::vector<std::pair<std::size_t, i16>> nonzero_;
+    u64 generation_ = 0;
     Adc adc_;
 };
 

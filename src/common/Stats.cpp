@@ -2,9 +2,52 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace darth
 {
+
+void
+addRepeated(double &sum, double x, u64 n)
+{
+    while (n != 0) {
+        if (n <= 2 || !(sum >= std::numeric_limits<double>::min()) ||
+            !(x > 0.0) || !std::isfinite(sum)) {
+            sum += x;
+            --n;
+            continue;
+        }
+        // sum = units * ulp with units in [2^52, 2^53); x = (whole +
+        // frac) ulps.
+        int exponent = 0;
+        (void)std::frexp(sum, &exponent);
+        const double ulp = std::ldexp(1.0, exponent - 53);
+        const double quotient = x / ulp;
+        const double whole = std::floor(quotient);
+        const double frac = quotient - whole;
+        if (!(quotient < 0x1p52) || frac == 0.5) {
+            sum += x;      // too large to scale, or a parity-bound tie
+            --n;
+            continue;
+        }
+        const u64 q = static_cast<u64>(whole);
+        const u64 step = frac < 0.5 ? q : q + 1;
+        if (step == 0)
+            return;        // below half an ulp: every add rounds back
+        const u64 units = static_cast<u64>(sum / ulp);
+        const u64 room = (u64{1} << 53) - units;
+        // Add j (from 0) rounds within the binade while units +
+        // j*step + q + frac < 2^53, i.e. j*step + q <= room - 1.
+        if (q + 1 > room) {
+            sum += x;      // this add leaves the binade
+            --n;
+            continue;
+        }
+        const u64 take = std::min(n, (room - 1 - q) / step + 1);
+        sum = static_cast<double>(units + take * step) * ulp;
+        n -= take;
+    }
+}
 
 double
 geoMean(const std::vector<double> &ratios)

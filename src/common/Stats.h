@@ -144,6 +144,17 @@ class CostTally
     u64 generation_ = 0;
 };
 
+/**
+ * sum += x, n times over, bit-identical to that loop of rounded adds
+ * but in O(binades crossed) rather than O(n): while sum stays in one
+ * binade (one ulp) and the exact sum + x does too, every add moves sum
+ * by the same whole number of ulps, so a run of them is one exact
+ * multiply. Ties, non-normal or non-positive operands and each binade
+ * crossing take plain adds. Energy tallies charge the same per-event
+ * energy many times per MVM through this.
+ */
+void addRepeated(double &sum, double x, u64 n);
+
 /** Geometric mean of a list of positive ratios (1.0 for empty input). */
 double geoMean(const std::vector<double> &ratios);
 

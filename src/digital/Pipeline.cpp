@@ -62,38 +62,42 @@ namespace
 {
 
 /**
- * In-place 64x64 bit-matrix transpose network (the classic recursive
- * block-swap). In LSB indexing the raw network transposes along the
- * anti-diagonal, so callers go through bitTranspose below.
+ * One level of the recursive block-swap transpose: in every 2J x 2J
+ * block, swap the top-right J x J quadrant (rows k, bits J..2J-1) with
+ * the bottom-left one (rows k+J, bits 0..J-1). M selects the low J bits
+ * of each 2J-bit group. A fixed J gives the inner loop a fixed trip
+ * count, so it vectorizes.
  */
+template <std::size_t J, u64 M>
 void
-transposeNetwork64(u64 a[64])
+transposeLevel(u64 a[64])
 {
-    u64 m = 0x00000000FFFFFFFFULL;
-    for (u64 j = 32; j != 0; j >>= 1, m ^= m << j) {
-        for (std::size_t k = 0; k < 64; k = (k + j + 1) & ~j) {
-            const u64 t = (a[k] ^ (a[k + j] >> j)) & m;
-            a[k] ^= t;
-            a[k + j] ^= t << j;
+    for (std::size_t k0 = 0; k0 < 64; k0 += 2 * J) {
+        for (std::size_t k = k0; k < k0 + J; ++k) {
+            const u64 t = ((a[k] >> J) ^ a[k + J]) & M;
+            a[k] ^= t << J;
+            a[k + J] ^= t;
         }
     }
 }
 
 /**
- * Main-diagonal 64x64 bit transpose: out[b] bit e == in[e] bit b.
- * Reversing the row order on the way in and out turns the network's
- * anti-diagonal transpose into the main-diagonal one; the transform
- * is an involution, so one function serves write and readback.
+ * Main-diagonal 64x64 bit transpose: out[b] bit e == in[e] bit b. The
+ * transform is an involution, so one function serves write and
+ * readback.
  */
 void
 bitTranspose(const u64 in[64], u64 out[64])
 {
     u64 a[64];
-    for (std::size_t k = 0; k < 64; ++k)
-        a[k] = in[63 - k];
-    transposeNetwork64(a);
-    for (std::size_t b = 0; b < 64; ++b)
-        out[b] = a[63 - b];
+    std::copy(in, in + 64, a);
+    transposeLevel<32, 0x00000000FFFFFFFFULL>(a);
+    transposeLevel<16, 0x0000FFFF0000FFFFULL>(a);
+    transposeLevel<8, 0x00FF00FF00FF00FFULL>(a);
+    transposeLevel<4, 0x0F0F0F0F0F0F0F0FULL>(a);
+    transposeLevel<2, 0x3333333333333333ULL>(a);
+    transposeLevel<1, 0x5555555555555555ULL>(a);
+    std::copy(a, a + 64, out);
 }
 
 } // namespace
@@ -161,6 +165,27 @@ Pipeline::element(std::size_t vr, std::size_t elem,
 }
 
 void
+Pipeline::writeReg(std::size_t vr, const u64 *values, std::size_t count,
+                   std::size_t bits)
+{
+    checkReg(vr);
+    if (count > cfg_.width)
+        darth_panic("Pipeline: ", count, " elements out of range ",
+                    cfg_.width);
+    u64 in[64] = {0};
+    for (std::size_t e = 0; e < count; ++e)
+        in[e] = values[e];
+    u64 columns[64];
+    bitTranspose(in, columns);
+    const std::size_t n = std::min<std::size_t>({bits, cfg_.depth, 64});
+    std::vector<BitVector> &reg = bits_[vr];
+    for (std::size_t bit = 0; bit < n; ++bit)
+        reg[bit].setWord(columns[bit]);
+    for (std::size_t bit = n; bit < cfg_.depth; ++bit)
+        reg[bit].setWord(0);
+}
+
+void
 Pipeline::clearReg(std::size_t vr)
 {
     checkReg(vr);
@@ -178,22 +203,45 @@ Pipeline::bitColumn(std::size_t vr, std::size_t bit) const
 }
 
 void
-Pipeline::recordOps(u64 column_ops)
+Pipeline::revalidateTally()
 {
-    opCount_ += column_ops;
-    if (tally_ == nullptr)
-        return;
     if (tallyGen_ != tally_->generation()) {
         tallyGen_ = tally_->generation();
         boolopEntry_ = nullptr;
         ioEntry_ = nullptr;
     }
+}
+
+void
+Pipeline::recordOps(u64 column_ops)
+{
+    opCount_ += column_ops;
+    chargeOps(&column_ops, 1, 1);
+}
+
+void
+Pipeline::chargeOps(const u64 *column_ops, std::size_t count,
+                    std::size_t copies)
+{
+    if (tally_ == nullptr)
+        return;
+    revalidateTally();
     if (boolopEntry_ == nullptr)
         boolopEntry_ = &tally_->entry("dce.boolop");
-    boolopEntry_->events += column_ops;
-    boolopEntry_->cycles += column_ops;
-    boolopEntry_->energy +=
-        static_cast<double>(column_ops) * cfg_.opEnergyPJ;
+    CostEntry &entry = *boolopEntry_;
+    // Runs of equal op counts (an MVM's ADDs, then its SUBs) charge
+    // one repeated add each.
+    for (std::size_t i = 0, run = 0; i < count; i += run) {
+        run = 1;
+        while (i + run < count && column_ops[i + run] == column_ops[i])
+            ++run;
+        const u64 charges = static_cast<u64>(run) * copies;
+        entry.events += column_ops[i] * charges;
+        entry.cycles += column_ops[i] * charges;
+        addRepeated(entry.energy,
+                    static_cast<double>(column_ops[i]) * cfg_.opEnergyPJ,
+                    charges);
+    }
 }
 
 void
@@ -201,11 +249,7 @@ Pipeline::recordIo(u64 accesses)
 {
     if (tally_ == nullptr)
         return;
-    if (tallyGen_ != tally_->generation()) {
-        tallyGen_ = tally_->generation();
-        boolopEntry_ = nullptr;
-        ioEntry_ = nullptr;
-    }
+    revalidateTally();
     if (ioEntry_ == nullptr)
         ioEntry_ = &tally_->entry("dce.io");
     ioEntry_->events += accesses;
@@ -258,6 +302,63 @@ Pipeline::reserveStages(std::size_t bits, Cycle issue,
         affineSpan_ = bits;
     }
     return completion;
+}
+
+bool
+Pipeline::affineOver(std::size_t bits, Cycle &base, Cycle &slope) const
+{
+    if (bits == 0 || bits > cfg_.depth)
+        return false;
+    if (affineSpan_ == bits) {
+        base = affineBase_;
+        slope = affineSlope_;
+        return true;
+    }
+    const auto free_at = [this](std::size_t i) {
+        return i < affineSpan_ ? affineBase_ + i * affineSlope_
+                               : stageFree_[i];
+    };
+    base = free_at(0);
+    slope = bits > 1 ? free_at(1) - base : 0;
+    if (bits > 1 && free_at(1) < base)
+        return false;
+    for (std::size_t i = 2; i < bits; ++i)
+        if (free_at(i) != base + i * slope)
+            return false;
+    return true;
+}
+
+bool
+Pipeline::chainEntry(const MacroChain &chain, Cycle &base) const
+{
+    Cycle slope = 0;
+    return chain.closed && chain.length != 0 &&
+           affineOver(chain.bits, base, slope) && slope <= chain.lastOps;
+}
+
+bool
+Pipeline::chainFits(const MacroChain &chain) const
+{
+    Cycle base = 0;
+    return chainEntry(chain, base);
+}
+
+Cycle
+Pipeline::reserveChain(const MacroChain &chain, Cycle start)
+{
+    Cycle base = 0;
+    if (!chainEntry(chain, base))
+        darth_panic("Pipeline::reserveChain: the stages are not affine "
+                    "over the chain's ", chain.bits, " bits");
+    if (affineSpan_ != chain.bits) {
+        materializeStages();
+        affineSpan_ = chain.bits;
+    }
+    affineBase_ = std::max(start + chain.issueLast, base + chain.runLast) +
+                  chain.lastOps;
+    affineSlope_ = chain.lastOps;
+    opCount_ += chain.columnOps;
+    return std::max(start + chain.issuePeak, base + chain.runPeak);
 }
 
 void

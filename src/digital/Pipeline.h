@@ -30,11 +30,32 @@
  * per-stage times and walks them as before; drainTime() and
  * stage0FreeAt() read through it. Completions are identical either
  * way.
+ *
+ * A whole run of such macros folds the same way (MacroChain,
+ * reserveChain()). Let macro i issue at start + c_i with ops o_i per
+ * stage, o non-decreasing, and write C_0 = c_0, C_i = max(c_i,
+ * C_{i-1} + o_{i-1}), A_0 = 0, A_i = A_{i-1} + o_{i-1}. Entering at
+ * (base B, slope <= o_0, span = bits), every step stays affine and
+ * macro i starts stage 0 at s_i = max(start + C_i, B + A_i), so the
+ * run completes at max(start + max_i(C_i + bits*o_i), B + max_i(A_i +
+ * bits*o_i)) and leaves base s_last + o_last, slope o_last: O(1) for
+ * the whole run, whatever its length — one MVM's shift-and-add
+ * reduction on one pipe. The same holds for any entry slope <=
+ * o_last. In max-plus terms a chained macro of o ops maps stage times
+ * max_k(F_k + sigma_k*i) to max(M + o*i, max over sigma_k > o of
+ * (F_k + o + sigma_k*i)) with M = max(issue, F_k over sigma_k <= o)
+ * + o: an entry slope above o_0 survives as a separate, steeper term
+ * (the walk sees stalls past stage 0) until the first macro i* with
+ * o_i* >= slope merges it back, and since A_i + bits*o_i grows with i
+ * that term never sets the completion, so the result is the same
+ * formula. Stage times that happen to be affine (a fresh or rebased
+ * pipeline: slope 0) qualify as an entry too.
  */
 
 #ifndef DARTH_DIGITAL_PIPELINE_H
 #define DARTH_DIGITAL_PIPELINE_H
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -66,6 +87,50 @@ struct PipelineConfig
     double opEnergyPJ = 8.0;
     /** Energy per row-wide I/O access, picojoules. */
     double ioEnergyPJ = 1.5;
+};
+
+/**
+ * A run of carry-chained macros over `bits` stages, folded for
+ * Pipeline::reserveChain() (see the file comment): each append()
+ * adds the next macro's issue offset from the run's start and its ops
+ * per stage.
+ */
+struct MacroChain
+{
+    std::size_t bits = 0;
+    /** Macros appended. */
+    std::size_t length = 0;
+    Cycle firstOps = 0;
+    Cycle lastOps = 0;
+    /** C_last and max_i(C_i + bits * o_i). */
+    Cycle issueLast = 0;
+    Cycle issuePeak = 0;
+    /** A_last and max_i(A_i + bits * o_i). */
+    Cycle runLast = 0;
+    Cycle runPeak = 0;
+    /** Column ops of the whole run (sum of bits * o_i). */
+    u64 columnOps = 0;
+    /** Every macro carry-chained and o non-decreasing. */
+    bool closed = true;
+
+    void
+    append(Cycle issue, Cycle ops, bool carry_chained)
+    {
+        if (length == 0) {
+            firstOps = ops;
+            issueLast = issue;
+        } else {
+            closed = closed && ops >= lastOps;
+            issueLast = std::max(issue, issueLast + lastOps);
+            runLast += lastOps;
+        }
+        closed = closed && carry_chained;
+        lastOps = ops;
+        issuePeak = std::max(issuePeak, issueLast + bits * ops);
+        runPeak = std::max(runPeak, runLast + bits * ops);
+        columnOps += static_cast<u64>(bits) * ops;
+        ++length;
+    }
 };
 
 /**
@@ -122,6 +187,15 @@ class Pipeline
     void elements(std::size_t vr, u64 *out, std::size_t count,
                   std::size_t bits) const;
 
+    /**
+     * Overwrite a whole vector register: element e < count holds the
+     * low `bits` bits of values[e]; every other element and every
+     * column >= bits is zero. The same register clearReg() followed
+     * by setElements() leaves, in one transpose.
+     */
+    void writeReg(std::size_t vr, const u64 *values, std::size_t count,
+                  std::size_t bits);
+
     /** Zero out a vector register. */
     void clearReg(std::size_t vr);
 
@@ -148,6 +222,33 @@ class Pipeline
      * register file (setElements) before anyone reads it.
      */
     Cycle timeMacro(MacroKind kind, std::size_t bits, Cycle issue);
+
+    /**
+     * True when reserveChain() applies: the chain is closed and its
+     * first chain.bits stages are free at affine times base + i*slope
+     * (the symbolic prefix, or stage times that happen to be affine,
+     * such as a fresh or rebased pipeline's) with slope <=
+     * chain.lastOps.
+     */
+    bool chainFits(const MacroChain &chain) const;
+
+    /**
+     * Reserve a whole chain issued from `start` in O(1) (requires
+     * chainFits()); returns its last completion — what timeMacro()
+     * over each macro in turn returns at most — and leaves the same
+     * stage state and opCount(). Charges no tally: see chargeOps().
+     */
+    Cycle reserveChain(const MacroChain &chain, Cycle start);
+
+    /**
+     * The dce.boolop charges of `copies` pipelines of this
+     * configuration (sharing this tally) that each ran macros of
+     * column_ops[0..count) in turn, in the order timeMacro() charges
+     * them when the macros issue macro-major across the pipelines: one
+     * energy add per charge, so the sum rounds identically.
+     */
+    void chargeOps(const u64 *column_ops, std::size_t count,
+                   std::size_t copies);
 
     /**
      * Per-element select: dst = sel ? b : a, where the select bit is
@@ -252,6 +353,15 @@ class Pipeline
     void materializeStages();
 
     /**
+     * Whether stages [0, bits) are free at base + i*slope (reading
+     * through the prefix); sets base and slope when they are.
+     */
+    bool affineOver(std::size_t bits, Cycle &base, Cycle &slope) const;
+
+    /** chainFits(), also giving the entry base. */
+    bool chainEntry(const MacroChain &chain, Cycle &base) const;
+
+    /**
      * Functionally evaluate a cached macro column-parallel through
      * its compiled truth-table kernel (every cached macro compiles;
      * see KernelCache::macro).
@@ -268,6 +378,8 @@ class Pipeline
 
     void recordOps(u64 column_ops);
     void recordIo(u64 accesses);
+    /** Drop the cached tally entries if the tally was cleared. */
+    void revalidateTally();
 
     PipelineConfig cfg_;
     LogicFamily family_;

@@ -114,11 +114,18 @@ Hct::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
     const Cycle analog_start = arbiter_.acquire(Mode::Analog, start);
     // With shift units on ideal arrays the accumulator comes from one
     // exact product (see Ace.h), so only the last partial product —
-    // the one the staging register keeps — needs its codes.
+    // the one the staging register keeps — needs its codes, and the
+    // stream's times come from the plan.
     const bool exact = digitalEnabled_ && cfg_.shiftUnits &&
                        ace_.idealArrays();
+    const ReductionPlan *plan = nullptr;
     if (exact) {
-        ace_.scheduleMvm(x, input_bits, analog_start, stream_);
+        plan = &reductionPlan(input_bits,
+                              ace_.checkMvmInput(x, input_bits));
+        ace_.chargeMvm(x, input_bits);
+        stream_.resize(plan->stream.size());
+        stream_.back().shift = plan->stream.back().shift;
+        stream_.back().negate = plan->stream.back().negate;
         ace_.fillValues(x, input_bits, stream_, stream_.size() - 1);
     } else {
         ace_.execMvmInto(x, input_bits, analog_start, stream_);
@@ -139,21 +146,27 @@ Hct::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
         arbiter_.release(result.done);
         return result;
     }
+    if (plan == nullptr)
+        plan = &reductionPlan(input_bits, stream_.back().negate);
 
     const std::size_t width = cfg_.dce.pipeline.width;
-    const int acc_bits = accumulatorBits(input_bits);
+    const int acc_bits = plan->accBits;
 
-    // Pipeline reserve: mark the accumulator and staging registers
-    // dead and clear them (Section 4.2's reserve instruction).
-    for (std::size_t p = 0; p < reductionPipes(); ++p) {
-        dce_.pipeline(p).clearReg(kAccVr);
-        dce_.pipeline(p).clearReg(kStageVr);
+    if (!cfg_.shiftUnits) {
+        // Pipeline reserve: mark the accumulator and staging registers
+        // dead and clear them (Section 4.2's reserve instruction); the
+        // register-file reduction below runs on them. With shift units
+        // reduceValues() overwrites both whole.
+        for (std::size_t p = 0; p < reductionPipes(); ++p) {
+            dce_.pipeline(p).clearReg(kAccVr);
+            dce_.pipeline(p).clearReg(kStageVr);
+        }
     }
-    result.done = reduceTiming(analog_start, acc_bits);
+    result.done = reduceTiming(*plan, analog_start);
 
     acc_.resize(cols);
     if (cfg_.shiftUnits) {
-        reduceValues(x, exact, acc_bits);
+        reduceValues(x, input_bits, exact, acc_bits);
     } else {
         // The register-file reduction already ran; read it back.
         for (std::size_t c0 = 0; c0 < cols; c0 += width)
@@ -176,7 +189,137 @@ Hct::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
 }
 
 Cycle
-Hct::reduceTiming(Cycle analog_start, int acc_bits)
+Hct::transferDone(Cycle port_free, const analog::PartialProduct &pp,
+                  std::size_t n, int acc_bits) const
+{
+    // ADC outputs stream over the network into DCE rows, one row per
+    // cycle, overlapped with the conversion window. The transpose unit
+    // turns the analog row vector into column elements on the fly.
+    const Cycle write_begin = std::max(port_free, pp.convStart);
+    Cycle write_done =
+        std::max(pp.readyAt, write_begin + static_cast<Cycle>(n));
+    if (!cfg_.transpose.enabled) {
+        // DCE-emulated transpose: extra element-wise copies.
+        write_done += transpose_.transposeCost(1, n, acc_bits);
+    }
+    return write_done;
+}
+
+double
+Hct::transferEnergy(std::size_t n) const
+{
+    const u64 bytes =
+        static_cast<u64>(n) *
+        ((static_cast<u64>(cfg_.ace.adc.bits) + 7) / 8);
+    return static_cast<double>(bytes) * cfg_.networkEnergyPerBytePJ;
+}
+
+const Hct::ReductionPlan &
+Hct::reductionPlan(int input_bits, bool negative)
+{
+    if (plansGeneration_ != ace_.generation()) {
+        plans_.clear();
+        plansGeneration_ = ace_.generation();
+    }
+    const int acc_bits = accumulatorBits(input_bits);
+    for (const ReductionPlan &plan : plans_)
+        if (plan.inputBits == input_bits && plan.negative == negative &&
+            plan.accBits == acc_bits)
+            return plan;
+
+    ReductionPlan &plan = plans_.emplace_back();
+    plan.inputBits = input_bits;
+    plan.negative = negative;
+    plan.accBits = acc_bits;
+    ace_.streamTiming(input_bits, negative, plan.stream);
+    if (!cfg_.shiftUnits)
+        return plan;       // no closed form: the walk runs functionally
+
+    const std::size_t cols = ace_.matrix().cols();
+    const std::size_t width = cfg_.dce.pipeline.width;
+    const std::size_t bits = static_cast<std::size_t>(acc_bits);
+    auto &cache = digital::KernelCache::instance();
+    const digital::BitProgram &add =
+        cache.macro(digital::MacroKind::Add, cfg_.dce.pipeline.family)
+            .program;
+    const digital::BitProgram &sub =
+        cache.macro(digital::MacroKind::Sub, cfg_.dce.pipeline.family)
+            .program;
+    const u64 uops_per_add = static_cast<u64>(add.opCount()) * bits;
+    const Cycle overhead = iiu_.issueOverhead(uops_per_add);
+    plan.injectedUops = cfg_.iiu.enabled ? uops_per_add : 0;
+    for (const analog::PartialProduct &pp : plan.stream)
+        plan.columnOps.push_back(
+            static_cast<u64>((pp.negate ? sub : add).opCount()) * bits);
+    for (std::size_t c0 = 0; c0 < cols; c0 += width) {
+        const std::size_t n = std::min(width, cols - c0);
+        digital::MacroChain &chain = plan.chains.emplace_back();
+        chain.bits = bits;
+        Cycle port_free = iiu_.sequenceSetup();
+        for (const analog::PartialProduct &pp : plan.stream) {
+            port_free = transferDone(port_free, pp, n, acc_bits);
+            const digital::BitProgram &program = pp.negate ? sub : add;
+            chain.append(port_free + overhead, program.opCount(),
+                         program.hasCarryChain());
+        }
+        plan.networkEnergy.push_back(transferEnergy(n));
+        plan.networkCycles += n;
+    }
+    plan.uniformNetwork =
+        std::all_of(plan.networkEnergy.begin(), plan.networkEnergy.end(),
+                    [&plan](double e) { return e == plan.networkEnergy[0]; });
+    return plan;
+}
+
+Cycle
+Hct::reduceTiming(const ReductionPlan &plan, Cycle analog_start)
+{
+    const std::size_t n_pipes = plan.chains.size();
+    bool closed = n_pipes != 0;
+    for (std::size_t p = 0; p < n_pipes && closed; ++p)
+        closed = dce_.pipeline(p).chainFits(plan.chains[p]);
+    if (!closed) {
+        // The walk reads absolute times, which the exact path never
+        // materialized: the plan's, offset by the start (the same
+        // times Ace::execMvmInto gives).
+        stream_.resize(plan.stream.size());
+        for (std::size_t i = 0; i < stream_.size(); ++i) {
+            stream_[i].shift = plan.stream[i].shift;
+            stream_[i].negate = plan.stream[i].negate;
+            stream_[i].convStart = analog_start + plan.stream[i].convStart;
+            stream_[i].readyAt = analog_start + plan.stream[i].readyAt;
+        }
+        return walkReduction(analog_start, plan.accBits);
+    }
+
+    ++closedForm_;
+    Cycle done = analog_start + iiu_.sequenceSetup();
+    for (std::size_t p = 0; p < n_pipes; ++p)
+        done = std::max(done, dce_.pipeline(p).reserveChain(
+                                  plan.chains[p], analog_start));
+    // The walk's charges: counters advance by products, energy by one
+    // add per (partial product, pipe) in the walk's order.
+    const std::size_t pps = plan.columnOps.size();
+    if (tally_ != nullptr) {
+        CostEntry &network = tally_->entry("hct.network");
+        network.events += static_cast<u64>(pps) * n_pipes;
+        network.cycles += static_cast<u64>(pps) * plan.networkCycles;
+        if (plan.uniformNetwork) {
+            addRepeated(network.energy, plan.networkEnergy[0],
+                        static_cast<u64>(pps) * n_pipes);
+        } else {
+            for (std::size_t i = 0; i < pps; ++i)
+                for (std::size_t p = 0; p < n_pipes; ++p)
+                    network.energy += plan.networkEnergy[p];
+        }
+    }
+    dce_.pipeline(0).chargeOps(plan.columnOps.data(), pps, n_pipes);
+    iiu_.recordInjected(plan.injectedUops * pps * n_pipes);
+    return done;
+}
+
+Cycle
+Hct::walkReduction(Cycle analog_start, int acc_bits)
 {
     const std::size_t cols = ace_.matrix().cols();
     const std::size_t width = cfg_.dce.pipeline.width;
@@ -208,27 +351,14 @@ Hct::reduceTiming(Cycle analog_start, int acc_bits)
             const std::size_t c0 = p * width;
             const std::size_t n = std::min(width, cols - c0);
 
-            // --- Transfer: ADC outputs stream over the network into
-            // DCE rows, one row per cycle, overlapped with the
-            // conversion window. The transpose unit turns the analog
-            // row vector into column elements on the fly.
-            const Cycle write_begin = std::max(portFree_[p], pp.convStart);
-            Cycle write_done =
-                std::max(pp.readyAt, write_begin + static_cast<Cycle>(n));
-            if (!cfg_.transpose.enabled) {
-                // DCE-emulated transpose: extra element-wise copies.
-                write_done += transpose_.transposeCost(1, n, acc_bits);
-            }
+            // --- Transfer.
+            const Cycle write_done =
+                transferDone(portFree_[p], pp, n, acc_bits);
             portFree_[p] = write_done;
-
             if (t_network != nullptr) {
-                const u64 bytes =
-                    static_cast<u64>(n) *
-                    ((static_cast<u64>(cfg_.ace.adc.bits) + 7) / 8);
                 t_network->events += 1;
                 t_network->cycles += n;
-                t_network->energy += static_cast<double>(bytes) *
-                                     cfg_.networkEnergyPerBytePJ;
+                t_network->energy += transferEnergy(n);
             }
 
             // --- Placement and reduction: with shift units the value
@@ -263,11 +393,12 @@ Hct::reduceTiming(Cycle analog_start, int acc_bits)
 }
 
 void
-Hct::reduceValues(const std::vector<i64> &x, bool exact, int acc_bits)
+Hct::reduceValues(const std::vector<i64> &x, int input_bits, bool exact,
+                  int acc_bits)
 {
     const u64 mask = (u64{1} << acc_bits) - 1;
     if (exact) {
-        ace_.exactProduct(x, acc_.data());
+        ace_.exactProduct(x, input_bits, acc_.data());
         for (u64 &word : acc_)
             word &= mask;
     } else {
@@ -284,7 +415,10 @@ Hct::reduceValues(const std::vector<i64> &x, bool exact, int acc_bits)
     }
 
     // Materialize the register file once: the accumulator words, and
-    // the last partial product staged as the ADD/SUBs left it.
+    // the last partial product staged as the ADD/SUBs left it, each
+    // reserved register written whole (zero above acc_bits and past
+    // the last column), as the reserve's clear plus the ADD/SUBs leave
+    // it.
     const std::size_t width = cfg_.dce.pipeline.width;
     const std::size_t bits = static_cast<std::size_t>(acc_bits);
     const analog::PartialProduct &last = stream_.back();
@@ -295,8 +429,8 @@ Hct::reduceValues(const std::vector<i64> &x, bool exact, int acc_bits)
             staged[e] =
                 static_cast<u64>(last.values[c0 + e] << last.shift) & mask;
         digital::Pipeline &pipe = dce_.pipeline(c0 / width);
-        pipe.setElements(kStageVr, staged, n, bits);
-        pipe.setElements(kAccVr, acc_.data() + c0, n, bits);
+        pipe.writeReg(kStageVr, staged, n, bits);
+        pipe.writeReg(kAccVr, acc_.data() + c0, n, bits);
     }
 }
 

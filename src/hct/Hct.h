@@ -19,11 +19,27 @@
  * partial-product transfer, and pipelined ADD/SUB reduction in the
  * DCE, returning bit-exact integer results in the ideal-noise
  * configuration. The reduction is simulated in two halves: a timing
- * pass over the partial-product stream (transfers, IIU issue, stage
+ * half over the partial-product stream (transfers, IIU issue, stage
  * reservation, tallies) and a values step that fills the accumulator —
  * one exact integer product on ideal arrays (see Ace.h), the fold of
  * the digitized codes otherwise — after which the register file is
  * written once, bit-identical to the per-partial-product ADD/SUBs.
+ *
+ * With shift units every time in the timing half is an offset from the
+ * analog start S, fixed by the programmed shape, the input width and
+ * the input's sign. A ReductionPlan keeps, per (input width, sign),
+ * the relative stream and each reduction pipe's MacroChain (the
+ * ADD/SUB issue offsets folded into the closed form of Pipeline.h), so
+ * when every pipe's stages are affine over the accumulator width with
+ * slope <= the run's last op count (the steady state, a fresh or
+ * rebased pipe, and a SUB-ended MVM followed by ADDs alike: all 9,409
+ * reductions of a ResNet-20 forward) one reserveChain() per pipe times
+ * the whole reduction, and the tallies advance by products, each
+ * energy sum rounding as its per-charge adds do (addRepeated). Other
+ * digital work on a reduction pipe, an accumulator width change, and
+ * every configuration without shift units take reduceTiming()'s walk
+ * over the stream instead. Both give identical completions, stage
+ * state and tallies.
  */
 
 #ifndef DARTH_HCT_HCT_H
@@ -35,6 +51,7 @@
 #include "analog/Ace.h"
 #include "common/Stats.h"
 #include "digital/Dce.h"
+#include "digital/Pipeline.h"
 #include "hct/Arbiter.h"
 #include "hct/InjectionUnit.h"
 #include "hct/TransposeUnit.h"
@@ -182,19 +199,70 @@ class Hct
     /** Number of MVMs executed (stats). */
     u64 mvmCount() const { return mvmCount_; }
 
+    /** MVMs whose reduction was timed in closed form (stats): over
+     *  mvmCount(), the share that skipped the per-partial-product
+     *  walk. */
+    u64 closedFormReductions() const { return closedForm_; }
+
   private:
+    /**
+     * One (input width, sign) pair's reduction timing relative to the
+     * analog start; see the file comment. Valid for one ACE generation
+     * and accumulator width.
+     */
+    struct ReductionPlan
+    {
+        int inputBits = 0;
+        bool negative = false;
+        int accBits = 0;
+        /** Stream timing with convStart/readyAt relative to S. */
+        std::vector<analog::PartialProduct> stream;
+        /** Per reduction pipe: the ADD/SUB run, issue offsets from S. */
+        std::vector<digital::MacroChain> chains;
+        /** Per partial product: the ADD/SUB's column ops. */
+        std::vector<u64> columnOps;
+        /** Per reduction pipe: one transfer's network energy. */
+        std::vector<double> networkEnergy;
+        /** Every pipe's transfer energy is the same (full-width
+         *  pipes): the charges are one repeated add. */
+        bool uniformNetwork = false;
+        /** Network cycles of one partial product over every pipe. */
+        Cycle networkCycles = 0;
+        /** µops the IIU injects per ADD/SUB (0 without the IIU). */
+        u64 injectedUops = 0;
+    };
+
     /** Reduction pipelines needed for the current matrix. */
     std::size_t reductionPipes() const;
 
+    /** The cached plan for (input_bits, negative), built on a miss. */
+    const ReductionPlan &reductionPlan(int input_bits, bool negative);
+
     /**
-     * The timing half of the reduction: walks stream_ in order,
-     * charging each partial product's transfer (port, network,
-     * transpose) and its ADD/SUB (IIU issue, stage reservation) on
-     * every reduction pipeline; returns the last completion. Without
-     * shift units this also runs the shift and ADD/SUB functionally
-     * in the register file, since execShift needs the bits.
+     * The timing half of the reduction: the closed form when the plan
+     * has one and every reduction pipe fits it, else the walk over
+     * stream_ (whose times must then be absolute), charging each
+     * partial product's transfer (port, network, transpose) and its
+     * ADD/SUB (IIU issue, stage reservation) on every reduction
+     * pipeline. Returns the last completion. Without shift units the
+     * walk also runs the shift and ADD/SUB functionally in the
+     * register file, since execShift needs the bits.
      */
-    Cycle reduceTiming(Cycle analog_start, int acc_bits);
+    Cycle reduceTiming(const ReductionPlan &plan, Cycle analog_start);
+
+    /** reduceTiming()'s walk, one partial product at a time. */
+    Cycle walkReduction(Cycle analog_start, int acc_bits);
+
+    /**
+     * When one partial product's transfer of n columns into a
+     * reduction pipe completes, given the pipe's write port is free at
+     * port_free.
+     */
+    Cycle transferDone(Cycle port_free, const analog::PartialProduct &pp,
+                       std::size_t n, int acc_bits) const;
+
+    /** Network energy of one n-column transfer. */
+    double transferEnergy(std::size_t n) const;
 
     /**
      * The values half of the reduction with shift units: acc_ = the
@@ -203,8 +271,8 @@ class Hct
      * staging registers written once, bit-identical to what the
      * per-partial-product ADD/SUBs leave behind.
      */
-    void reduceValues(const std::vector<i64> &x, bool exact,
-                      int acc_bits);
+    void reduceValues(const std::vector<i64> &x, int input_bits,
+                      bool exact, int acc_bits);
 
     HctConfig cfg_;
     CostTally *tally_;
@@ -217,6 +285,10 @@ class Hct
     bool analogEnabled_ = true;
     bool digitalEnabled_ = true;
     u64 mvmCount_ = 0;
+    u64 closedForm_ = 0;
+    /** Plans for the ACE generation plansGeneration_. */
+    std::vector<ReductionPlan> plans_;
+    u64 plansGeneration_ = 0;
     /** Partial-product stream reused by every execMvm(). */
     std::vector<analog::PartialProduct> stream_;
     /** Per-MVM scratch: reduction-pipe port free times, accumulator

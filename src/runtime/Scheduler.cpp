@@ -358,7 +358,16 @@ Scheduler::executeAt(RequestId id)
         // the Hct ran this issue serially, so for pipelined issues
         // its arbiter would otherwise drift ahead of the amortized
         // schedule and bill the phantom time to the next idle-tile
-        // issue.
+        // issue. Only the arbiter is rebased, not the DCE stage
+        // clocks, and those drift: a pipelined MVM's reduction ADDs
+        // hold the stages longer than the amortized interval (32 x 11
+        // = 352 cycles against 256 on a 32-partial-product ResNet
+        // layer, because KernelModel's DCE bound divides by two pipes
+        // while the HCT reduces on pipe 0), so the stage base moves
+        // ~100 cycles ahead per pipelined MVM. Rebasing the stages
+        // too leaves infer_bench --smoke unchanged but moves
+        // serve_bench --smoke latencies, so it is a model change of
+        // its own and is not made here.
         chip_.hct(part.hctIndex).arbiter().rebase(part_done);
         nextIssue_[part.hctIndex] = start + mvm_cost.amortized;
         lastUid_[part.hctIndex] = req.pm->uid;

@@ -303,6 +303,74 @@ TEST(Ace, DacEnergyCountsActiveRowsPerPlane)
     EXPECT_EQ(dac.energy, energy);
 }
 
+TEST(Ace, ExactProductNarrowBoundary)
+{
+    // exactProduct() runs i16 x i16 -> i32 when element bits and input
+    // bits are <= 15 and element bits + input bits + ceil(log2 rows)
+    // <= 31; on either side of that bound, with the largest magnitudes
+    // a weight and an input may take, it must equal the exact product
+    // modulo 2^64.
+    struct Bound
+    {
+        int elementBits;
+        int inputBits;
+        std::size_t rows;
+    };
+    const Bound bounds[] = {
+        {15, 10, 64},    // 15 + 10 + 6 = 31: narrow
+        {15, 10, 65},    // 15 + 10 + 7 = 32: wide
+        {8, 15, 256},    // 8 + 15 + 8 = 31: narrow
+        {8, 15, 257},    // 32: wide
+        {8, 16, 128},    // 31, but 16-bit inputs: wide
+        {16, 8, 32},     // 29, but 16-bit weights: wide
+    };
+    AceConfig cfg;
+    cfg.numArrays = 64;
+    cfg.arrayRows = 128;
+    cfg.arrayCols = 16;
+    for (const Bound &b : bounds) {
+        Ace ace(cfg);
+        const i64 w_max = (i64{1} << b.elementBits) - 1;
+        Rng rng(b.rows * 31 + static_cast<u64>(b.inputBits));
+        // All weights at full magnitude: column 0 all positive, column
+        // 1 all negative, the rest random signs.
+        MatrixI m(b.rows, 16);
+        for (std::size_t r = 0; r < b.rows; ++r)
+            for (std::size_t c = 0; c < 16; ++c)
+                m(r, c) = c == 0   ? w_max
+                          : c == 1 ? -w_max
+                                   : (rng.uniformInt(u64{2}) != 0 ? w_max
+                                                                 : -w_max);
+        ace.setMatrix(m, b.elementBits, 4);
+
+        const i64 u_max = (i64{1} << b.inputBits) - 1;
+        const i64 s_min = -(i64{1} << (b.inputBits - 1));
+        const i64 s_max = (i64{1} << (b.inputBits - 1)) - 1;
+        std::vector<std::vector<i64>> inputs = {
+            std::vector<i64>(b.rows, u_max),       // unsigned maximum
+            std::vector<i64>(b.rows, s_min),       // signed minimum
+        };
+        std::vector<i64> mixed(b.rows);
+        for (std::size_t r = 0; r < b.rows; ++r)
+            mixed[r] = r % 3 == 0 ? 0 : (r % 2 == 0 ? s_min : s_max);
+        inputs.push_back(mixed);
+        std::vector<i64> random(b.rows);
+        for (auto &v : random)
+            v = rng.uniformInt(s_min, s_max);
+        inputs.push_back(random);
+
+        std::vector<u64> out(16);
+        for (const auto &x : inputs) {
+            ace.exactProduct(x, b.inputBits, out.data());
+            const auto reference = ace.referenceMvm(x);
+            for (std::size_t c = 0; c < 16; ++c)
+                ASSERT_EQ(out[c], static_cast<u64>(reference[c]))
+                    << b.elementBits << "+" << b.inputBits << " bits, "
+                    << b.rows << " rows, col " << c;
+        }
+    }
+}
+
 TEST(Ace, UpdateRowChangesMvm)
 {
     Ace ace(smallAce());

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <vector>
+
+#include "common/Random.h"
 #include "common/Stats.h"
 
 namespace darth
@@ -71,6 +76,71 @@ TEST(CostTally, ClearDropsEverything)
     tally.clear();
     EXPECT_EQ(tally.totalCycles(), 0u);
     EXPECT_TRUE(tally.entries().empty());
+}
+
+/** The sum's bit pattern after n plain adds of x. */
+u64
+loopBits(double sum, double x, u64 n)
+{
+    for (u64 i = 0; i < n; ++i)
+        sum += x;
+    u64 bits = 0;
+    std::memcpy(&bits, &sum, sizeof(bits));
+    return bits;
+}
+
+u64
+repeatedBits(double sum, double x, u64 n)
+{
+    addRepeated(sum, x, n);
+    u64 bits = 0;
+    std::memcpy(&bits, &sum, sizeof(bits));
+    return bits;
+}
+
+TEST(AddRepeated, MatchesTheLoopBitForBit)
+{
+    // Hand-picked edges: zero and subnormal sums, ties (x exactly a
+    // half-integer number of ulps), x below half an ulp, sums just
+    // under a binade boundary, x larger than the sum, negative x.
+    const double tiny = std::numeric_limits<double>::denorm_min();
+    const double top = 0x1p40;
+    const std::vector<std::pair<double, double>> edges = {
+        {0.0, 0.1},
+        {tiny, 0.5},
+        {1.0, 0x1p-53},
+        {1.0, 0x1p-54},
+        {1.0, 3 * 0x1p-53},
+        {1.0, 0x1p-52 + 0x1p-53},
+        {std::nextafter(top, 0.0), 0.8},
+        {std::nextafter(top, 0.0), 0x1p-13},
+        {top - 1.0, 0.1},
+        {3.0, 0.8},
+        {0.25, 1e6},
+        {1e9, 12.0 * 8.0},
+        {5e12, 0.1},
+        {100.0, -0.3},
+    };
+    for (const auto &[sum, x] : edges)
+        for (u64 n : {0u, 1u, 2u, 3u, 7u, 64u, 1000u, 70000u})
+            ASSERT_EQ(repeatedBits(sum, x, n), loopBits(sum, x, n))
+                << "sum " << sum << " x " << x << " n " << n;
+
+    // Random magnitudes over many binades.
+    Rng rng(17);
+    for (int trial = 0; trial < 20000; ++trial) {
+        const double sum =
+            trial % 7 == 0
+                ? 0.0
+                : std::ldexp(rng.uniform(), static_cast<int>(
+                                                rng.uniformInt(-20, 60)));
+        const double x = std::ldexp(
+            rng.uniform() + 0.001,
+            static_cast<int>(rng.uniformInt(-30, 30)));
+        const u64 n = static_cast<u64>(rng.uniformInt(0, 600));
+        ASSERT_EQ(repeatedBits(sum, x, n), loopBits(sum, x, n))
+            << "sum " << sum << " x " << x << " n " << n;
+    }
 }
 
 TEST(GeoMean, MatchesHandComputation)

@@ -9,10 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <memory>
 
 #include "common/Fnv.h"
 #include "common/Random.h"
+#include "digital/KernelCache.h"
 #include "hct/Hct.h"
 
 namespace darth
@@ -457,6 +460,337 @@ INSTANTIATE_TEST_SUITE_P(
                       10028, 0x79d44eec7b23005bULL}),
     [](const ::testing::TestParamInfo<ReductionCase> &info) {
         return std::string(info.param.name);
+    });
+
+// ---------------------------------------------------------------------
+// Closed-form reduction timing against a partial-product replay.
+// ---------------------------------------------------------------------
+
+/**
+ * Test-local replay of the HCT's reduction timing one partial product
+ * at a time: the stream comes from a twin ACE's public execMvm, every
+ * ADD/SUB is timed by Pipeline::timeMacro on twin pipelines, and the
+ * transfer, network and IIU charges follow the HCT's model. It shares
+ * no code with the closed form, so any difference in completions,
+ * stage state or tallies is the closed form's.
+ */
+class ReductionReplay
+{
+  public:
+    ReductionReplay(const HctConfig &cfg, u64 seed)
+        : cfg_(cfg), ace_(cfg.ace, &tally_, seed),
+          arbiter_(cfg.arbiterSwitchPenalty), transpose_(cfg.transpose)
+    {
+        for (std::size_t p = 0; p < cfg.dce.numPipelines; ++p)
+            pipes_.push_back(std::make_unique<digital::Pipeline>(
+                cfg.dce.pipeline, &tally_));
+    }
+
+    analog::Ace &ace() { return ace_; }
+    Arbiter &arbiter() { return arbiter_; }
+    digital::Pipeline &pipe(std::size_t p) { return *pipes_[p]; }
+    const CostTally &tally() const { return tally_; }
+    u64 injectedUops() const { return injected_; }
+
+    void
+    setMatrix(const MatrixI &m, int element_bits, int bits_per_cell)
+    {
+        ace_.setMatrix(m, element_bits, bits_per_cell);
+        elementBits_ = element_bits;
+    }
+
+    Cycle
+    mvm(const std::vector<i64> &x, int input_bits, Cycle start)
+    {
+        const Cycle analog_start = arbiter_.acquire(Mode::Analog, start);
+        const auto stream = ace_.execMvm(x, input_bits, analog_start);
+        int log_rows = 0;
+        while ((std::size_t{1} << log_rows) < ace_.matrix().rows())
+            ++log_rows;
+        const std::size_t bits = static_cast<std::size_t>(std::min(
+            std::min(elementBits_ + input_bits + log_rows + 1,
+                     static_cast<int>(cfg_.dce.pipeline.depth)),
+            63));
+        const u64 uops =
+            static_cast<u64>(digital::KernelCache::instance()
+                                 .macro(digital::MacroKind::Add,
+                                        cfg_.dce.pipeline.family)
+                                 .program.opCount()) *
+            bits;
+        const std::size_t cols = ace_.matrix().cols();
+        const std::size_t width = cfg_.dce.pipeline.width;
+        const std::size_t n_pipes = (cols + width - 1) / width;
+        const Cycle setup = cfg_.iiu.enabled ? cfg_.iiu.setupCycles : 0;
+        std::vector<Cycle> port(n_pipes, analog_start + setup);
+        Cycle done = analog_start + setup;
+        CostEntry &network = tally_.entry("hct.network");
+        for (const auto &pp : stream) {
+            for (std::size_t p = 0; p < n_pipes; ++p) {
+                const std::size_t n = std::min(width, cols - p * width);
+                Cycle write_done = std::max(
+                    pp.readyAt, std::max(port[p], pp.convStart) + n);
+                if (!cfg_.transpose.enabled)
+                    write_done += transpose_.transposeCost(1, n, bits);
+                port[p] = write_done;
+                network.events += 1;
+                network.cycles += n;
+                network.energy +=
+                    static_cast<double>(
+                        n * ((static_cast<u64>(cfg_.ace.adc.bits) + 7) /
+                             8)) *
+                    cfg_.networkEnergyPerBytePJ;
+                const Cycle issue =
+                    write_done +
+                    (cfg_.iiu.enabled
+                         ? 0
+                         : uops * (cfg_.iiu.frontEndShare - 1));
+                injected_ += cfg_.iiu.enabled ? uops : 0;
+                done = std::max(done,
+                                pipes_[p]->timeMacro(
+                                    pp.negate ? digital::MacroKind::Sub
+                                              : digital::MacroKind::Add,
+                                    bits, issue));
+            }
+        }
+        arbiter_.release(done);
+        return done;
+    }
+
+    Cycle
+    macro(std::size_t p, digital::MacroKind kind, std::size_t bits,
+          Cycle start)
+    {
+        const Cycle begin = arbiter_.acquire(Mode::Digital, start);
+        const Cycle done = pipes_[p]->execMacro(kind, 2, 3, 4, bits, begin);
+        arbiter_.release(done);
+        return done;
+    }
+
+  private:
+    HctConfig cfg_;
+    CostTally tally_;
+    analog::Ace ace_;
+    Arbiter arbiter_;
+    TransposeUnit transpose_;
+    std::vector<std::unique_ptr<digital::Pipeline>> pipes_;
+    int elementBits_ = 0;
+    u64 injected_ = 0;
+};
+
+struct TimingCase
+{
+    const char *name;
+    analog::AdcKind adc;
+    bool iiu;
+    bool transpose;
+    /** Matrix columns over 32-wide pipes: 1 to 3 reduction pipes. */
+    std::size_t cols;
+    bool ideal;
+    bool negativeInputs;
+    digital::LogicFamilyKind family;
+};
+
+void
+PrintTo(const TimingCase &tc, std::ostream *os)
+{
+    *os << tc.name;
+}
+
+class HctClosedFormTimingProperty
+    : public ::testing::TestWithParam<std::tuple<TimingCase, u64>>
+{
+};
+
+TEST_P(HctClosedFormTimingProperty, MatchesPartialProductReplay)
+{
+    const auto &[tc, seed] = GetParam();
+    HctConfig cfg;
+    cfg.dce.numPipelines = 3;
+    cfg.dce.pipeline.depth = 48;
+    cfg.dce.pipeline.width = 32;
+    cfg.dce.pipeline.numRegs = 8;
+    cfg.dce.pipeline.family = tc.family;
+    cfg.ace.numArrays = 128;
+    cfg.ace.arrayRows = 16;
+    cfg.ace.arrayCols = 32;
+    cfg.ace.adc.kind = tc.adc;
+    cfg.ace.adc.bits = tc.adc == analog::AdcKind::Sar ? 6 : 4;
+    cfg.ace.numAdcs = tc.adc == analog::AdcKind::Sar ? 2 : 1;
+    cfg.ace.rampAutoTerminate = true;
+    if (!tc.ideal)
+        cfg.ace.noise = reram::NoiseModel::realistic();
+    cfg.iiu.enabled = tc.iiu;
+    cfg.transpose.enabled = tc.transpose;
+
+    CostTally tally;
+    Hct hct(cfg, &tally, seed);
+    ReductionReplay replay(cfg, seed);
+    Rng rng(seed * 7919 + tc.cols);
+    const auto program = [&](std::size_t rows) {
+        const int element_bits = static_cast<int>(rng.uniformInt(2, 6));
+        const int bits_per_cell = static_cast<int>(rng.uniformInt(1, 2));
+        const i64 w_max = (i64{1} << element_bits) - 1;
+        const MatrixI m = randomMatrix(rows, tc.cols, -w_max, w_max,
+                                       rng.uniformInt(u64{1} << 30));
+        hct.setMatrix(m, element_bits, bits_per_cell);
+        replay.setMatrix(m, element_bits, bits_per_cell);
+    };
+    program(static_cast<std::size_t>(rng.uniformInt(6, 30)));
+    // Full-depth operands for the digital macros, which write into the
+    // reserved registers: the next MVM must overwrite them whole.
+    for (std::size_t p = 0; p < cfg.dce.numPipelines; ++p)
+        for (std::size_t e = 0; e < cfg.dce.pipeline.width; ++e)
+            for (std::size_t vr : {3, 4})
+                hct.dce().pipeline(p).setElement(
+                    vr, e, rng.uniformInt(u64{1} << 48));
+
+    const auto compare = [&](const char *what, int step) {
+        for (std::size_t p = 0; p < cfg.dce.numPipelines; ++p) {
+            const digital::Pipeline &mine = hct.dce().pipeline(p);
+            ASSERT_EQ(mine.stage0FreeAt(), replay.pipe(p).stage0FreeAt())
+                << what << " step " << step << " pipe " << p;
+            ASSERT_EQ(mine.drainTime(), replay.pipe(p).drainTime())
+                << what << " step " << step << " pipe " << p;
+            ASSERT_EQ(mine.opCount(), replay.pipe(p).opCount())
+                << what << " step " << step << " pipe " << p;
+        }
+    };
+
+    for (int step = 0; step < 80; ++step) {
+        const u64 action = rng.uniformInt(u64{20});
+        const Cycle base = hct.dce().pipeline(0).stage0FreeAt();
+        const Cycle drained = hct.dce().pipeline(0).drainTime();
+        if (step == 40) {
+            // Reprogram to a new shape: every cached plan is stale.
+            program(static_cast<std::size_t>(rng.uniformInt(6, 30)));
+        } else if (step == 60) {
+            // Same shape, new weights (the ACE generation moves).
+            std::vector<i64> row(tc.cols, 1);
+            hct.ace().updateRow(0, row);
+            replay.ace().updateRow(0, row);
+        } else if (action < 14) {
+            // An MVM issued before, at, or far behind the stage base
+            // (the arbiter rebased there, as the scheduler does).
+            const int input_bits = rng.uniformInt(u64{3}) == 0 ? 5 : 7;
+            const bool negative =
+                tc.negativeInputs && rng.uniformInt(u64{2}) == 0;
+            const i64 lo = negative ? -(i64{1} << (input_bits - 1)) : 0;
+            const i64 hi = negative ? (i64{1} << (input_bits - 1)) - 1
+                                    : (i64{1} << input_bits) - 1;
+            std::vector<i64> x = randomVector(
+                hct.ace().matrix().rows(), lo, hi,
+                rng.uniformInt(u64{1} << 30));
+            if (negative)
+                x[0] = lo;   // the MSB plane subtracts
+            Cycle start = 0;
+            switch (rng.uniformInt(u64{4})) {
+            case 0: start = base > 300 ? base - 300 : 0; break;
+            case 1: start = base; break;
+            case 2: start = drained + 5000; break;
+            default: start = hct.arbiter().busyUntil(); break;
+            }
+            if (rng.uniformInt(u64{2}) == 0) {
+                hct.arbiter().rebase(start);
+                replay.arbiter().rebase(start);
+            }
+            const auto result = hct.execMvm(x, input_bits, start);
+            const Cycle expect = replay.mvm(x, input_bits, start);
+            ASSERT_EQ(result.done, expect) << "mvm step " << step;
+            const int acc_bits = hct.accumulatorBits(input_bits);
+            if (tc.ideal) {
+                const auto reference = hct.ace().referenceMvm(x);
+                for (std::size_t c = 0; c < tc.cols; ++c)
+                    ASSERT_EQ(result.values[c],
+                              signExtend(reference[c], acc_bits))
+                        << "step " << step << " col " << c;
+            }
+            // The reserved registers hold the accumulator and the
+            // staged partial product, zero above acc_bits and past the
+            // last column.
+            const u64 mask = (u64{1} << acc_bits) - 1;
+            const std::size_t cols = hct.ace().matrix().cols();
+            for (std::size_t c = 0; c < (cols + 31) / 32 * 32; ++c) {
+                const digital::Pipeline &pipe =
+                    hct.dce().pipeline(c / 32);
+                const u64 acc = pipe.element(0, c % 32, 48);
+                const u64 staged = pipe.element(1, c % 32, 48);
+                ASSERT_EQ(acc, c < cols ? static_cast<u64>(
+                                              result.values[c]) & mask
+                                        : 0)
+                    << "step " << step << " col " << c;
+                ASSERT_EQ(staged & ~(c < cols ? mask : 0), 0u)
+                    << "step " << step << " col " << c;
+            }
+            compare("mvm", step);
+        } else if (action < 17) {
+            // Other digital work on a reduction pipe.
+            const std::size_t p = rng.uniformInt(u64{3});
+            const digital::MacroKind kinds[] = {digital::MacroKind::Add,
+                                                digital::MacroKind::Sub,
+                                                digital::MacroKind::Xor};
+            const digital::MacroKind kind = kinds[rng.uniformInt(u64{3})];
+            const std::size_t bits =
+                static_cast<std::size_t>(rng.uniformInt(4, 48));
+            const Cycle start = drained / 2;
+            const std::size_t dst = rng.uniformInt(u64{2});
+            ASSERT_EQ(hct.digitalMacro(p, kind, dst, 3, 4, bits, start),
+                      replay.macro(p, kind, bits, start))
+                << "macro step " << step;
+            compare("macro", step);
+        } else {
+            // A stage rebase, as KernelModel does on its scratch tile.
+            const std::size_t p = rng.uniformInt(u64{3});
+            const Cycle when = rng.uniformInt(drained + 1);
+            hct.dce().pipeline(p).rebase(when);
+            replay.pipe(p).rebase(when);
+            compare("rebase", step);
+        }
+    }
+    // Both paths ran: the closed form, and the walk after a rebase,
+    // other digital work or a reprogram.
+    EXPECT_GT(hct.closedFormReductions(), 0u);
+    EXPECT_LT(hct.closedFormReductions(), hct.mvmCount());
+    EXPECT_EQ(hct.iiu().injectedUops(), replay.injectedUops());
+    EXPECT_EQ(mixTally(tally, kFnvOffsetBasis),
+              mixTally(replay.tally(), kFnvOffsetBasis));
+    ASSERT_EQ(tally.entries().size(), replay.tally().entries().size());
+    for (const auto &[name, entry] : tally.entries()) {
+        const CostEntry other = replay.tally().get(name);
+        EXPECT_EQ(entry.events, other.events) << name;
+        EXPECT_EQ(entry.cycles, other.cycles) << name;
+        EXPECT_EQ(entry.energy, other.energy) << name;
+    }
+}
+
+using digital::LogicFamilyKind;
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, HctClosedFormTimingProperty,
+    ::testing::Combine(
+        ::testing::Values(
+            // name, ADC, IIU, transpose unit, cols, ideal, negative
+            // inputs, logic family
+            TimingCase{"sar_one_pipe", AdcKind::Sar, true, true, 20,
+                       true, true, LogicFamilyKind::Oscar},
+            TimingCase{"ramp_two_uneven_pipes", AdcKind::Ramp, true, true,
+                       50, true, true, LogicFamilyKind::Oscar},
+            TimingCase{"no_iiu_three_pipes", AdcKind::Sar, false, true,
+                       90, true, true, LogicFamilyKind::Oscar},
+            TimingCase{"no_transpose_two_pipes", AdcKind::Sar, true,
+                       false, 64, true, true, LogicFamilyKind::Oscar},
+            TimingCase{"ramp_no_iiu_no_transpose", AdcKind::Ramp, false,
+                       false, 30, true, true, LogicFamilyKind::Oscar},
+            TimingCase{"noisy_two_pipes", AdcKind::Sar, true, true, 40,
+                       false, true, LogicFamilyKind::Oscar},
+            TimingCase{"non_negative_three_pipes", AdcKind::Sar, true,
+                       true, 96, true, false, LogicFamilyKind::Oscar},
+            TimingCase{"ideal_family", AdcKind::Ramp, true, true, 33,
+                       true, true, LogicFamilyKind::Ideal}),
+        ::testing::Values(u64{1}, u64{2}, u64{3}, u64{4})),
+    [](const ::testing::TestParamInfo<std::tuple<TimingCase, u64>>
+           &info) {
+        return std::string(std::get<0>(info.param).name) + "_seed" +
+               std::to_string(std::get<1>(info.param));
     });
 
 } // namespace

@@ -60,6 +60,22 @@ inferChip(std::size_t num_hcts)
     return cfg;
 }
 
+/** The infer_bench ResNet-20 geometry: one beefy tile per layer. */
+ChipConfig
+resnetChip()
+{
+    ChipConfig cfg;
+    cfg.hct.dce.numPipelines = 2;
+    cfg.hct.dce.pipeline.depth = 64;
+    cfg.hct.dce.pipeline.width = 64;
+    cfg.hct.dce.pipeline.numRegs = 8;
+    cfg.hct.ace.numArrays = 64;
+    cfg.hct.ace.arrayRows = 128;
+    cfg.hct.ace.arrayCols = 64;
+    cfg.numHcts = 22;
+    return cfg;
+}
+
 MatrixI
 randomMatrix(std::size_t rows, std::size_t cols, u64 seed)
 {
@@ -194,17 +210,7 @@ TEST(InferenceRun, InterleavedTinyCnnRunsStayBitIdentical)
 
 TEST(InferenceRun, StagedResnetForwardMatchesReference)
 {
-    // The infer_bench ResNet-20 geometry: one beefy tile per layer.
-    ChipConfig cfg;
-    cfg.hct.dce.numPipelines = 2;
-    cfg.hct.dce.pipeline.depth = 64;
-    cfg.hct.dce.pipeline.width = 64;
-    cfg.hct.dce.pipeline.numRegs = 8;
-    cfg.hct.ace.numArrays = 64;
-    cfg.hct.ace.arrayRows = 128;
-    cfg.hct.ace.arrayCols = 64;
-    cfg.numHcts = 22;
-
+    const ChipConfig cfg = resnetChip();
     Chip chip(cfg);
     Runtime rt(chip);
     Session session = rt.createSession();
@@ -226,6 +232,32 @@ TEST(InferenceRun, StagedResnetForwardMatchesReference)
     }
     (void)run->finish();
     EXPECT_EQ(run->output(), net.infer(input));
+}
+
+TEST(InferenceRun, ResnetReductionsTakeTheClosedForm)
+{
+    // The HCT times an MVM's reduction in closed form whenever its
+    // pipes enter affine; a fall back to the per-partial-product walk
+    // is exact too, so only this share shows one.
+    const ChipConfig cfg = resnetChip();
+    Chip chip(cfg);
+    Runtime rt(chip);
+    Session session = rt.createSession();
+    cnn::Resnet20 net(42);
+    cnn::CnnMapper mapper(cfg.hct);
+    cnn::ResnetForward fwd(session, net, mapper);
+
+    const cnn::Tensor input = cnn::syntheticInput(100);
+    EXPECT_EQ(fwd.infer(input).logits, net.infer(input));
+    u64 mvms = 0;
+    u64 closed = 0;
+    for (std::size_t i = 0; i < chip.numHcts(); ++i) {
+        mvms += chip.hct(i).mvmCount();
+        closed += chip.hct(i).closedFormReductions();
+    }
+    ASSERT_GE(mvms, 9409u);
+    EXPECT_GE(closed * 100, mvms * 99)
+        << closed << " of " << mvms << " reductions in closed form";
 }
 
 TEST(InferenceRun, StagedEncoderForwardMatchesReference)
