@@ -234,7 +234,11 @@ Ace::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
     return stream;
 }
 
-void
+// Cache-line aligned: this loop carries ~30% of an ideal forward's
+// host time, and with the default 16-byte function alignment its
+// speed moved ~2.5% whenever unrelated code linked before it changed
+// size.
+[[gnu::aligned(64)]] void
 Ace::idealPartial(const std::vector<i64> &x, int bit, int s,
                   std::size_t row_lo, std::size_t row_hi,
                   i64 *out) const

@@ -83,8 +83,7 @@ class Crossbar
 
     NumberMapping mapping() const { return mapping_; }
 
-    /** Logical (signed-element) matrix dimensions as programmed. */
-    std::size_t logicalRows() const { return logicalRows_; }
+    /** Logical (signed-element) column count as programmed. */
     std::size_t logicalCols() const { return logicalCols_; }
 
     /**

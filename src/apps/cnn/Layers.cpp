@@ -324,12 +324,5 @@ globalAvgPool(const Tensor &t)
     return out;
 }
 
-void
-clampActivations(Tensor &t, i32 limit)
-{
-    for (auto &v : t.data())
-        v = std::clamp(v, -limit, limit);
-}
-
 } // namespace cnn
 } // namespace darth

@@ -125,7 +125,6 @@ class Conv2d
     LayerStats stats(std::size_t in_h, std::size_t in_w) const;
 
     const std::string &name() const { return name_; }
-    std::size_t outChannels() const { return cout_; }
     std::size_t stride() const { return stride_; }
 
     /** Requantization shift applied to each output accumulator. */
@@ -190,9 +189,6 @@ void addResidual(Tensor &a, const Tensor &b);
 
 /** Global average pool to one value per channel (floor division). */
 std::vector<i64> globalAvgPool(const Tensor &t);
-
-/** Clamp a tensor into [-limit, limit] (activation quantization). */
-void clampActivations(Tensor &t, i32 limit);
 
 } // namespace cnn
 } // namespace darth

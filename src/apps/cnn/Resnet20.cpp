@@ -106,12 +106,6 @@ Resnet20::layerStats() const
     return stats;
 }
 
-std::size_t
-Resnet20::numLayers() const
-{
-    return layerStats().size();
-}
-
 Tensor
 syntheticInput(u64 seed)
 {

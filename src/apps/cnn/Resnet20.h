@@ -55,9 +55,6 @@ class Resnet20
      */
     std::vector<LayerStats> layerStats() const;
 
-    /** Number of conv + fc layers (Figure 15 bars). */
-    std::size_t numLayers() const;
-
     /** The final fully-connected layer (for session-stream demos). */
     const FullyConnected &fc() const { return *fc_; }
 

@@ -39,9 +39,6 @@ class TinyCnn
     /** Flattened input length (one channel of in_hw x in_hw). */
     std::size_t inputSize() const { return inHw_ * inHw_; }
 
-    /** Logit count. */
-    std::size_t outputSize() const { return fc_->stats().mvmCols; }
-
     /** Rebuild the CHW tensor from a flat (serving-request) vector. */
     Tensor inputFromFlat(const std::vector<i64> &flat) const;
 

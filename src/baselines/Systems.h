@@ -61,7 +61,6 @@ class CpuModel
     double vectorOpsPerSec() const;
     /** Int8 MACs per second on GEMM kernels (all cores). */
     double macsPerSec() const;
-    double joulesPerSecondOfCompute() const { return p_.tdpWatts; }
 
   private:
     CpuParams p_;

@@ -77,9 +77,6 @@ class LogicFamily
                prim == Prim::Copy;
     }
 
-    /** Array cycles for one native primitive (always 1 here). */
-    Cycle nativeCost() const { return 1; }
-
   private:
     LogicFamilyKind kind_;
 };

@@ -193,15 +193,6 @@ Pipeline::clearReg(std::size_t vr)
         column.fill(false);
 }
 
-const BitVector &
-Pipeline::bitColumn(std::size_t vr, std::size_t bit) const
-{
-    checkReg(vr);
-    if (bit >= cfg_.depth)
-        darth_panic("Pipeline: bit ", bit, " out of range ", cfg_.depth);
-    return bits_[vr][bit];
-}
-
 void
 Pipeline::revalidateTally()
 {

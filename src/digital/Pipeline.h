@@ -199,9 +199,6 @@ class Pipeline
     /** Zero out a vector register. */
     void clearReg(std::size_t vr);
 
-    /** Direct access to the bit column of (vr, bit). */
-    const BitVector &bitColumn(std::size_t vr, std::size_t bit) const;
-
     // ------------------------------------------------------------------
     // Macro execution (functional + timed). All exec* methods return
     // the cycle at which the macro completes, given the earliest issue

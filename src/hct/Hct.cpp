@@ -480,29 +480,6 @@ Hct::digitalShift(std::size_t pipe, std::size_t dst, std::size_t src,
 }
 
 Cycle
-Hct::digitalRotate(std::size_t pipe, std::size_t vr, std::size_t k,
-                   std::size_t bits, Cycle start)
-{
-    const Cycle begin = arbiter_.acquire(Mode::Digital, start);
-    const Cycle done =
-        dce_.pipeline(pipe).execRotate(vr, k, bits, begin);
-    arbiter_.release(done);
-    return done;
-}
-
-Cycle
-Hct::digitalSelect(std::size_t pipe, std::size_t dst, std::size_t a,
-                   std::size_t b, std::size_t sel_vr,
-                   std::size_t sel_bit, std::size_t bits, Cycle start)
-{
-    const Cycle begin = arbiter_.acquire(Mode::Digital, start);
-    const Cycle done = dce_.pipeline(pipe).execSelect(
-        dst, a, b, sel_vr, sel_bit, bits, begin);
-    arbiter_.release(done);
-    return done;
-}
-
-Cycle
 Hct::elementLoad(std::size_t pipe, std::size_t dst, std::size_t addr_vr,
                  std::size_t table_pipe, std::size_t table_base_vr,
                  std::size_t bits, Cycle start)
@@ -510,19 +487,6 @@ Hct::elementLoad(std::size_t pipe, std::size_t dst, std::size_t addr_vr,
     const Cycle begin = arbiter_.acquire(Mode::Digital, start);
     const Cycle done = dce_.pipeline(pipe).elementLoad(
         dst, addr_vr, dce_.pipeline(table_pipe), table_base_vr, bits,
-        begin);
-    arbiter_.release(done);
-    return done;
-}
-
-Cycle
-Hct::elementStore(std::size_t pipe, std::size_t src, std::size_t addr_vr,
-                  std::size_t table_pipe, std::size_t table_base_vr,
-                  std::size_t bits, Cycle start)
-{
-    const Cycle begin = arbiter_.acquire(Mode::Digital, start);
-    const Cycle done = dce_.pipeline(pipe).elementStore(
-        src, addr_vr, dce_.pipeline(table_pipe), table_base_vr, bits,
         begin);
     arbiter_.release(done);
     return done;

@@ -106,16 +106,10 @@ class Hct
     // vACore / matrix management (Table 1 semantics).
     // ------------------------------------------------------------------
 
-    /**
-     * Allocate a vACore: fixes the (element width, bits/cell)
-     * operating point and programs the shift units and IIU µop table
-     * for the matching shift-and-add sequence.
-     */
-    void allocVACore(int element_bits, int bits_per_cell);
-
     const VACore &vacore() const { return vacore_; }
 
-    /** Program a matrix into the active vACore. */
+    /** Allocate a vACore at (element_bits, bits_per_cell) and
+     *  program a matrix into it. */
     void setMatrix(const MatrixI &m, int element_bits, int bits_per_cell);
 
     /** Disable the ACE; copies the matrix into DCE registers. */
@@ -165,27 +159,11 @@ class Hct
                        std::size_t src, std::size_t k, bool up,
                        std::size_t bits, Cycle start);
 
-    /** Cyclic rotate (pipeline-reversal macro, §5.3). */
-    Cycle digitalRotate(std::size_t pipe, std::size_t vr, std::size_t k,
-                        std::size_t bits, Cycle start);
-
-    /** Per-element select (ReLU-style masking). */
-    Cycle digitalSelect(std::size_t pipe, std::size_t dst,
-                        std::size_t a, std::size_t b,
-                        std::size_t sel_vr, std::size_t sel_bit,
-                        std::size_t bits, Cycle start);
-
     /** Element-wise gather from a table pipeline (§4.2 extension). */
     Cycle elementLoad(std::size_t pipe, std::size_t dst,
                       std::size_t addr_vr, std::size_t table_pipe,
                       std::size_t table_base_vr, std::size_t bits,
                       Cycle start);
-
-    /** Element-wise scatter to a table pipeline. */
-    Cycle elementStore(std::size_t pipe, std::size_t src,
-                       std::size_t addr_vr, std::size_t table_pipe,
-                       std::size_t table_base_vr, std::size_t bits,
-                       Cycle start);
 
     /** Load a vector of values into a pipeline VR via the I/O port. */
     Cycle loadVector(std::size_t pipe, std::size_t vr,
@@ -205,6 +183,13 @@ class Hct
     u64 closedFormReductions() const { return closedForm_; }
 
   private:
+    /**
+     * Allocate a vACore: fixes the (element width, bits/cell)
+     * operating point and programs the shift units and IIU µop table
+     * for the matching shift-and-add sequence.
+     */
+    void allocVACore(int element_bits, int bits_per_cell);
+
     /**
      * One (input width, sign) pair's reduction timing relative to the
      * analog start; see the file comment. Valid for one ACE generation

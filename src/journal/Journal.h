@@ -320,9 +320,6 @@ class Journal
      */
     void attachSink(JournalSink *sink, bool retainEvents = true);
 
-    /** True when decoded records are held in memory (the default). */
-    bool retainsEvents() const { return retain_; }
-
     /** Decoded records (std::logic_error when retention is off). */
     const std::vector<JournalEvent> &events() const;
     const JournalEvent &event(std::size_t i) const;

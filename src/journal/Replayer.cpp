@@ -41,6 +41,251 @@ slotSpec(const PoolSlotSetup &slot)
     throw std::invalid_argument("ServeRunSetup: unknown slot kind");
 }
 
+/** The header records and the index of the next one to read. `need`
+ *  throws the missing- or misplaced-record message every parser
+ *  shares. */
+struct HeaderCursor
+{
+    const std::vector<JournalEvent> &ev;
+    std::size_t i = 0;
+
+    /** The next record, which must be of `kind`. */
+    const JournalEvent &
+    need(EventKind kind)
+    {
+        if (i >= ev.size())
+            throw std::runtime_error(
+                std::string("Replayer: journal ended before its ") +
+                eventKindName(kind) + " record");
+        const JournalEvent &e = ev[i];
+        if (e.kind != kind)
+            throw std::runtime_error(
+                std::string("Replayer: expected ") +
+                eventKindName(kind) + " at record " +
+                std::to_string(i) + ", found " +
+                eventKindName(e.kind));
+        ++i;
+        return e;
+    }
+
+    /** The next record when it is of `kind` (consumed), else null. */
+    const JournalEvent *
+    next(EventKind kind)
+    {
+        return i < ev.size() && ev[i].kind == kind ? &ev[i++] : nullptr;
+    }
+};
+
+void
+emitRunBegin(const ServeRunSetup &setup, Journal &jr)
+{
+    JournalEvent e;
+    e.kind = EventKind::RunBegin;
+    e.a = ServeRunSetup::kSetupVersion;
+    e.b = setup.trafficSeed;
+    e.c = static_cast<u64>(setup.placement);
+    e.d = setup.poolSeed;
+    e.values = {static_cast<i64>(setup.backlogWindowNs),
+                static_cast<i64>(setup.slots.size()),
+                setup.uniformPool ? i64{1} : i64{0},
+                static_cast<i64>(setup.horizon)};
+    jr.append(std::move(e));
+}
+
+/** Parse RunBegin into `setup`; returns the announced slot count. */
+std::size_t
+parseRunBegin(HeaderCursor &in, ServeRunSetup &setup)
+{
+    const JournalEvent &begin = in.need(EventKind::RunBegin);
+    if (begin.a != ServeRunSetup::kSetupVersion)
+        throw std::runtime_error(
+            "Replayer: unsupported setup version " +
+            std::to_string(begin.a) + " (this build replays version " +
+            std::to_string(ServeRunSetup::kSetupVersion) + ")");
+    if (begin.values.size() < 4 ||
+        begin.c > static_cast<u64>(serve::PlacementPolicy::CostAware))
+        throw std::runtime_error(
+            "Replayer: malformed run_begin record");
+    setup.trafficSeed = begin.b;
+    setup.placement = static_cast<serve::PlacementPolicy>(begin.c);
+    setup.poolSeed = begin.d;
+    setup.backlogWindowNs = static_cast<WallNs>(begin.values[0]);
+    const std::size_t slot_count =
+        static_cast<std::size_t>(begin.values[1]);
+    setup.uniformPool = begin.values[2] != 0;
+    setup.horizon = static_cast<WallNs>(begin.values[3]);
+    if (slot_count == 0)
+        throw std::runtime_error(
+            "Replayer: run_begin announces an empty pool");
+    return slot_count;
+}
+
+void
+emitPoolChip(std::size_t s, const PoolSlotSetup &slot,
+             const serve::ChipSpec &spec, Journal &jr)
+{
+    const runtime::ChipConfig &cc = spec.chip;
+    JournalEvent e;
+    e.kind = EventKind::PoolChip;
+    e.a = s;
+    e.b = static_cast<u64>(slot.kind);
+    e.c = slot.hcts;
+    e.d = doubleBits(slot.clockGHz);
+    e.note = spec.name;
+    // Derived silicon, for verification only: replay rebuilds the
+    // chip from (kind, hcts, clock) above, and a factory whose
+    // derivation drifted since recording mismatches here.
+    e.values = {static_cast<i64>(cc.numHcts),
+                static_cast<i64>(cc.modeledHcts),
+                static_cast<i64>(cc.hct.dce.numPipelines),
+                static_cast<i64>(cc.hct.dce.pipeline.depth),
+                static_cast<i64>(cc.hct.dce.pipeline.width),
+                static_cast<i64>(cc.hct.dce.pipeline.numRegs),
+                static_cast<i64>(cc.hct.ace.numArrays),
+                static_cast<i64>(cc.hct.ace.arrayRows),
+                static_cast<i64>(cc.hct.ace.arrayCols),
+                static_cast<i64>(static_cast<u32>(cc.hct.ace.adc.kind)),
+                static_cast<i64>(cc.hct.ace.numAdcs),
+                cc.hct.ace.rampAutoTerminate ? i64{1} : i64{0}};
+    jr.append(std::move(e));
+}
+
+/** Parse slot `s`'s PoolChip record. */
+PoolSlotSetup
+parsePoolChip(HeaderCursor &in, std::size_t s)
+{
+    const JournalEvent &e = in.need(EventKind::PoolChip);
+    if (e.a != s)
+        throw std::runtime_error(
+            "Replayer: pool_chip records out of slot order");
+    if (e.b > static_cast<u64>(SlotKind::Ramp))
+        throw std::runtime_error(
+            "Replayer: pool_chip record names unknown slot kind " +
+            std::to_string(e.b));
+    PoolSlotSetup slot;
+    slot.kind = static_cast<SlotKind>(e.b);
+    slot.hcts = static_cast<std::size_t>(e.c);
+    slot.clockGHz = bitsToDouble(e.d);
+    return slot;
+}
+
+void
+emitAdmissionSetup(const serve::AdmissionConfig &ac, Journal &jr)
+{
+    JournalEvent e;
+    e.kind = EventKind::AdmissionSetup;
+    e.a = ac.queueDepth;
+    e.b = static_cast<u64>(ac.qos);
+    e.c = static_cast<u64>(ac.overflow);
+    e.d = static_cast<u64>(ac.granularity);
+    e.values.push_back(ac.collectOutputs ? i64{1} : i64{0});
+    for (std::size_t depth : ac.chipQueueDepth)
+        e.values.push_back(static_cast<i64>(depth));
+    jr.append(std::move(e));
+}
+
+void
+parseAdmissionSetup(HeaderCursor &in, serve::AdmissionConfig &ac)
+{
+    const JournalEvent &adm = in.need(EventKind::AdmissionSetup);
+    if (adm.b > static_cast<u64>(serve::QosPolicy::WeightedFair) ||
+        adm.c > static_cast<u64>(serve::OverflowPolicy::Reject) ||
+        adm.d > static_cast<u64>(serve::Granularity::Stage) ||
+        adm.values.empty())
+        throw std::runtime_error(
+            "Replayer: malformed admission_setup record");
+    ac.queueDepth = static_cast<std::size_t>(adm.a);
+    ac.qos = static_cast<serve::QosPolicy>(adm.b);
+    ac.overflow = static_cast<serve::OverflowPolicy>(adm.c);
+    ac.granularity = static_cast<serve::Granularity>(adm.d);
+    ac.collectOutputs = adm.values[0] != 0;
+    ac.chipQueueDepth.clear();
+    for (std::size_t v = 1; v < adm.values.size(); ++v)
+        ac.chipQueueDepth.push_back(
+            static_cast<std::size_t>(adm.values[v]));
+}
+
+void
+emitTenantSetup(std::size_t t, const serve::TenantSpec &spec,
+                Journal &jr)
+{
+    JournalEvent e;
+    e.kind = EventKind::TenantSetup;
+    e.a = t;
+    e.b = static_cast<u64>(spec.kind);
+    e.c = spec.modelKey;
+    e.d = doubleBits(spec.weight);
+    e.note = spec.name;
+    e.values = {static_cast<i64>(doubleBits(spec.ratePerKns)),
+                static_cast<i64>(spec.burst.onNs),
+                static_cast<i64>(spec.burst.offNs),
+                static_cast<i64>(spec.slo.latencyTargetNs),
+                static_cast<i64>(doubleBits(spec.slo.targetAvailability)),
+                static_cast<i64>(spec.arriveNs),
+                static_cast<i64>(spec.departNs)};
+    jr.append(std::move(e));
+}
+
+/** Parse tenant `t`'s TenantSetup record `e`, journal record number
+ *  `record`. */
+serve::TenantSpec
+parseTenantSetup(const JournalEvent &e, std::size_t t,
+                 std::size_t record)
+{
+    if (e.a != t)
+        throw std::runtime_error(
+            "Replayer: tenant_setup records out of index order");
+    if (e.b > static_cast<u64>(serve::WorkloadKind::GfWide) ||
+        e.values.size() < 7)
+        throw std::runtime_error(
+            "Replayer: malformed tenant_setup record " +
+            std::to_string(record));
+    serve::TenantSpec spec;
+    spec.name = e.note;
+    spec.kind = static_cast<serve::WorkloadKind>(e.b);
+    spec.weight = bitsToDouble(e.d);
+    spec.ratePerKns = bitsToDouble(static_cast<u64>(e.values[0]));
+    spec.modelKey = e.c;
+    spec.burst.onNs = static_cast<WallNs>(e.values[1]);
+    spec.burst.offNs = static_cast<WallNs>(e.values[2]);
+    spec.slo.latencyTargetNs = static_cast<WallNs>(e.values[3]);
+    spec.slo.targetAvailability =
+        bitsToDouble(static_cast<u64>(e.values[4]));
+    spec.arriveNs = static_cast<WallNs>(e.values[5]);
+    spec.departNs = static_cast<WallNs>(e.values[6]);
+    return spec;
+}
+
+void
+emitFleetSetup(const serve::FleetConfig &fc, Journal &jr)
+{
+    JournalEvent e;
+    e.kind = EventKind::FleetSetup;
+    e.a = fc.migration ? 1 : 0;
+    e.b = fc.autoscale ? 1 : 0;
+    e.c = fc.minActive;
+    e.d = fc.checkIntervalNs;
+    e.values = {static_cast<i64>(fc.backlogHighNs),
+                static_cast<i64>(fc.backlogLowNs),
+                static_cast<i64>(fc.migrateHighNs)};
+    jr.append(std::move(e));
+}
+
+void
+parseFleetSetup(const JournalEvent &e, serve::FleetConfig &fc)
+{
+    if (e.values.size() < 3)
+        throw std::runtime_error(
+            "Replayer: malformed fleet_setup record");
+    fc.migration = e.a != 0;
+    fc.autoscale = e.b != 0;
+    fc.minActive = static_cast<std::size_t>(e.c);
+    fc.checkIntervalNs = e.d;
+    fc.backlogHighNs = static_cast<WallNs>(e.values[0]);
+    fc.backlogLowNs = static_cast<WallNs>(e.values[1]);
+    fc.migrateHighNs = static_cast<WallNs>(e.values[2]);
+}
+
 /** Emit the self-describing header: RunBegin, one PoolChip per
  *  slot, AdmissionSetup, one TenantSetup per tenant, FleetSetup when
  *  fleet-driven. */
@@ -48,97 +293,14 @@ void
 emitHeaderRecords(const ServeRunSetup &setup,
                   const serve::ChipPool &pool, Journal &jr)
 {
-    {
-        JournalEvent e;
-        e.kind = EventKind::RunBegin;
-        e.a = ServeRunSetup::kSetupVersion;
-        e.b = setup.trafficSeed;
-        e.c = static_cast<u64>(setup.placement);
-        e.d = setup.poolSeed;
-        e.values = {static_cast<i64>(setup.backlogWindowNs),
-                    static_cast<i64>(setup.slots.size()),
-                    setup.uniformPool ? i64{1} : i64{0},
-                    static_cast<i64>(setup.horizon)};
-        jr.append(std::move(e));
-    }
-
-    for (std::size_t i = 0; i < setup.slots.size(); ++i) {
-        const PoolSlotSetup &slot = setup.slots[i];
-        const serve::ChipSpec &spec = pool.spec(i);
-        const runtime::ChipConfig &cc = spec.chip;
-        JournalEvent e;
-        e.kind = EventKind::PoolChip;
-        e.a = i;
-        e.b = static_cast<u64>(slot.kind);
-        e.c = slot.hcts;
-        e.d = doubleBits(slot.clockGHz);
-        e.note = spec.name;
-        // Derived silicon, for verification only: replay rebuilds
-        // the chip from (kind, hcts, clock) above, and a factory
-        // whose derivation drifted since recording mismatches here.
-        e.values = {static_cast<i64>(cc.numHcts),
-                    static_cast<i64>(cc.modeledHcts),
-                    static_cast<i64>(cc.hct.dce.numPipelines),
-                    static_cast<i64>(cc.hct.dce.pipeline.depth),
-                    static_cast<i64>(cc.hct.dce.pipeline.width),
-                    static_cast<i64>(cc.hct.dce.pipeline.numRegs),
-                    static_cast<i64>(cc.hct.ace.numArrays),
-                    static_cast<i64>(cc.hct.ace.arrayRows),
-                    static_cast<i64>(cc.hct.ace.arrayCols),
-                    static_cast<i64>(
-                        static_cast<u32>(cc.hct.ace.adc.kind)),
-                    static_cast<i64>(cc.hct.ace.numAdcs),
-                    cc.hct.ace.rampAutoTerminate ? i64{1} : i64{0}};
-        jr.append(std::move(e));
-    }
-
-    {
-        const serve::AdmissionConfig &ac = setup.admission;
-        JournalEvent e;
-        e.kind = EventKind::AdmissionSetup;
-        e.a = ac.queueDepth;
-        e.b = static_cast<u64>(ac.qos);
-        e.c = static_cast<u64>(ac.overflow);
-        e.d = static_cast<u64>(ac.granularity);
-        e.values.push_back(ac.collectOutputs ? i64{1} : i64{0});
-        for (std::size_t depth : ac.chipQueueDepth)
-            e.values.push_back(static_cast<i64>(depth));
-        jr.append(std::move(e));
-    }
-
-    for (std::size_t t = 0; t < setup.tenants.size(); ++t) {
-        const serve::TenantSpec &spec = setup.tenants[t];
-        JournalEvent e;
-        e.kind = EventKind::TenantSetup;
-        e.a = t;
-        e.b = static_cast<u64>(spec.kind);
-        e.c = spec.modelKey;
-        e.d = doubleBits(spec.weight);
-        e.note = spec.name;
-        e.values = {
-            static_cast<i64>(doubleBits(spec.ratePerKns)),
-            static_cast<i64>(spec.burst.onNs),
-            static_cast<i64>(spec.burst.offNs),
-            static_cast<i64>(spec.slo.latencyTargetNs),
-            static_cast<i64>(doubleBits(spec.slo.targetAvailability)),
-            static_cast<i64>(spec.arriveNs),
-            static_cast<i64>(spec.departNs)};
-        jr.append(std::move(e));
-    }
-
-    if (setup.fleet) {
-        const serve::FleetConfig &fc = setup.fleetCfg;
-        JournalEvent e;
-        e.kind = EventKind::FleetSetup;
-        e.a = fc.migration ? 1 : 0;
-        e.b = fc.autoscale ? 1 : 0;
-        e.c = fc.minActive;
-        e.d = fc.checkIntervalNs;
-        e.values = {static_cast<i64>(fc.backlogHighNs),
-                    static_cast<i64>(fc.backlogLowNs),
-                    static_cast<i64>(fc.migrateHighNs)};
-        jr.append(std::move(e));
-    }
+    emitRunBegin(setup, jr);
+    for (std::size_t s = 0; s < setup.slots.size(); ++s)
+        emitPoolChip(s, setup.slots[s], pool.spec(s), jr);
+    emitAdmissionSetup(setup.admission, jr);
+    for (std::size_t t = 0; t < setup.tenants.size(); ++t)
+        emitTenantSetup(t, setup.tenants[t], jr);
+    if (setup.fleet)
+        emitFleetSetup(setup.fleetCfg, jr);
 }
 
 /**
@@ -204,141 +366,35 @@ u64
 parseHeaderRecords(const std::vector<JournalEvent> &ev,
                    ServeRunSetup &setup)
 {
-    std::size_t i = 0;
-    auto need = [&](EventKind kind) -> const JournalEvent & {
-        if (i >= ev.size())
-            throw std::runtime_error(
-                std::string("Replayer: journal ended before its ") +
-                eventKindName(kind) + " record");
-        const JournalEvent &e = ev[i];
-        if (e.kind != kind)
-            throw std::runtime_error(
-                std::string("Replayer: expected ") +
-                eventKindName(kind) + " at record " +
-                std::to_string(i) + ", found " +
-                eventKindName(e.kind));
-        ++i;
-        return e;
-    };
-
-    const JournalEvent &begin = need(EventKind::RunBegin);
-    if (begin.a != ServeRunSetup::kSetupVersion)
-        throw std::runtime_error(
-            "Replayer: unsupported setup version " +
-            std::to_string(begin.a) + " (this build replays version " +
-            std::to_string(ServeRunSetup::kSetupVersion) + ")");
-    if (begin.values.size() < 4 ||
-        begin.c > static_cast<u64>(serve::PlacementPolicy::CostAware))
-        throw std::runtime_error(
-            "Replayer: malformed run_begin record");
-    setup.trafficSeed = begin.b;
-    setup.placement = static_cast<serve::PlacementPolicy>(begin.c);
-    setup.poolSeed = begin.d;
-    setup.backlogWindowNs = static_cast<WallNs>(begin.values[0]);
-    const std::size_t slot_count =
-        static_cast<std::size_t>(begin.values[1]);
-    setup.uniformPool = begin.values[2] != 0;
-    setup.horizon = static_cast<WallNs>(begin.values[3]);
-    if (slot_count == 0)
-        throw std::runtime_error(
-            "Replayer: run_begin announces an empty pool");
-
+    HeaderCursor in{ev};
+    const std::size_t slot_count = parseRunBegin(in, setup);
     // Sized by the PoolChip records actually read, never by the
     // announced count, so a hostile count fails as a missing record.
     setup.slots.clear();
-    for (std::size_t s = 0; s < slot_count; ++s) {
-        const JournalEvent &e = need(EventKind::PoolChip);
-        if (e.a != s)
-            throw std::runtime_error(
-                "Replayer: pool_chip records out of slot order");
-        if (e.b > static_cast<u64>(SlotKind::Ramp))
-            throw std::runtime_error(
-                "Replayer: pool_chip record names unknown slot kind " +
-                std::to_string(e.b));
-        PoolSlotSetup slot;
-        slot.kind = static_cast<SlotKind>(e.b);
-        slot.hcts = static_cast<std::size_t>(e.c);
-        slot.clockGHz = bitsToDouble(e.d);
-        setup.slots.push_back(slot);
-    }
-
-    const JournalEvent &adm = need(EventKind::AdmissionSetup);
-    if (adm.b > static_cast<u64>(serve::QosPolicy::WeightedFair) ||
-        adm.c > static_cast<u64>(serve::OverflowPolicy::Reject) ||
-        adm.d > static_cast<u64>(serve::Granularity::Stage) ||
-        adm.values.empty())
-        throw std::runtime_error(
-            "Replayer: malformed admission_setup record");
-    setup.admission.queueDepth = static_cast<std::size_t>(adm.a);
-    setup.admission.qos = static_cast<serve::QosPolicy>(adm.b);
-    setup.admission.overflow =
-        static_cast<serve::OverflowPolicy>(adm.c);
-    setup.admission.granularity =
-        static_cast<serve::Granularity>(adm.d);
-    setup.admission.collectOutputs = adm.values[0] != 0;
-    setup.admission.chipQueueDepth.clear();
-    for (std::size_t v = 1; v < adm.values.size(); ++v)
-        setup.admission.chipQueueDepth.push_back(
-            static_cast<std::size_t>(adm.values[v]));
+    for (std::size_t s = 0; s < slot_count; ++s)
+        setup.slots.push_back(parsePoolChip(in, s));
+    parseAdmissionSetup(in, setup.admission);
 
     setup.tenants.clear();
-    while (i < ev.size() && ev[i].kind == EventKind::TenantSetup) {
-        const JournalEvent &e = ev[i];
-        ++i;
-        if (e.a != setup.tenants.size())
-            throw std::runtime_error(
-                "Replayer: tenant_setup records out of index order");
-        if (e.b > static_cast<u64>(serve::WorkloadKind::GfWide) ||
-            e.values.size() < 7)
-            throw std::runtime_error(
-                "Replayer: malformed tenant_setup record " +
-                std::to_string(i - 1));
-        serve::TenantSpec spec;
-        spec.name = e.note;
-        spec.kind = static_cast<serve::WorkloadKind>(e.b);
-        spec.weight = bitsToDouble(e.d);
-        spec.ratePerKns =
-            bitsToDouble(static_cast<u64>(e.values[0]));
-        spec.modelKey = e.c;
-        spec.burst.onNs = static_cast<WallNs>(e.values[1]);
-        spec.burst.offNs = static_cast<WallNs>(e.values[2]);
-        spec.slo.latencyTargetNs = static_cast<WallNs>(e.values[3]);
-        spec.slo.targetAvailability =
-            bitsToDouble(static_cast<u64>(e.values[4]));
-        spec.arriveNs = static_cast<WallNs>(e.values[5]);
-        spec.departNs = static_cast<WallNs>(e.values[6]);
-        setup.tenants.push_back(std::move(spec));
-    }
+    while (const JournalEvent *e = in.next(EventKind::TenantSetup))
+        setup.tenants.push_back(
+            parseTenantSetup(*e, setup.tenants.size(), in.i - 1));
     if (setup.tenants.empty())
         throw std::runtime_error(
             "Replayer: journal has no tenant_setup records");
 
-    if (i < ev.size() && ev[i].kind == EventKind::FleetSetup) {
-        const JournalEvent &e = ev[i];
-        ++i;
-        if (e.values.size() < 3)
-            throw std::runtime_error(
-                "Replayer: malformed fleet_setup record");
+    if (const JournalEvent *e = in.next(EventKind::FleetSetup)) {
+        parseFleetSetup(*e, setup.fleetCfg);
         setup.fleet = true;
-        setup.fleetCfg.migration = e.a != 0;
-        setup.fleetCfg.autoscale = e.b != 0;
-        setup.fleetCfg.minActive = static_cast<std::size_t>(e.c);
-        setup.fleetCfg.checkIntervalNs = e.d;
-        setup.fleetCfg.backlogHighNs =
-            static_cast<WallNs>(e.values[0]);
-        setup.fleetCfg.backlogLowNs =
-            static_cast<WallNs>(e.values[1]);
-        setup.fleetCfg.migrateHighNs =
-            static_cast<WallNs>(e.values[2]);
     }
 
     // The Placement records buildTenants emitted sit between the
     // tenant table and trace_begin; they are re-derived on replay,
     // not inputs, so skip to the trace.
-    while (i < ev.size() && ev[i].kind == EventKind::Placement)
-        ++i;
+    while (in.next(EventKind::Placement) != nullptr) {
+    }
 
-    return need(EventKind::TraceBegin).a;
+    return in.need(EventKind::TraceBegin).a;
 }
 
 std::string

@@ -6,7 +6,8 @@
  * these cells (Table 2). The CellArray owns fault assignment (stuck-at
  * cells decided once at construction from the NoiseModel) and exposes
  * programming and conductance read-out; electrical MVM behaviour lives
- * in analog::Crossbar, and Boolean behaviour in digital::DigitalArray.
+ * in analog::Crossbar. The DCE's Boolean PUM is modeled on packed bit
+ * columns (digital::Pipeline), not on these devices.
  */
 
 #ifndef DARTH_RERAM_CELLARRAY_H

@@ -55,9 +55,6 @@ class Chip
     hct::Hct &hct(std::size_t i);
     const hct::Hct &hct(std::size_t i) const;
 
-    /** Pointers to all tiles (for FrontEnd construction). */
-    std::vector<hct::Hct *> hctPointers();
-
     CostTally &tally() { return tally_; }
     const CostTally &tally() const { return tally_; }
 

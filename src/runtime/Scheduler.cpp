@@ -177,30 +177,15 @@ Scheduler::makeReady(Request &req)
 RequestId
 Scheduler::pickNext()
 {
-    if (dequeueHook_) {
-        hookView_.clear();
-        for (const auto &req : queue_) {
-            if (!req.queued)
-                continue;
-            QueuedRequest q;
-            q.id = req.id;
-            q.session = req.session;
-            q.handle = req.pm->id;
-            q.earliest = req.earliest;
-            q.ready = req.unmetDeps == 0;
-            // Not-ready requests sort to the back of any start-time
-            // ordering a hook applies (picking one anyway falls back
-            // to the greedy order below).
-            q.achievableStart =
-                q.ready ? std::max(req.readyBound, tileBound(*req.pm))
-                        : ~Cycle{0};
-            q.oracleCost = req.oracleCost;
-            hookView_.push_back(q);
-        }
-        const std::size_t picked = dequeueHook_(hookView_);
-        if (picked < hookView_.size() && hookView_[picked].ready)
-            return hookView_[picked].id;
-        // Out-of-range or not-ready pick: the greedy default below.
+    if (drainOrder_ == DrainOrder::Submission) {
+        // executeAt pops tombstones off the front, and the oldest
+        // queued request's `after` dependencies are all older, hence
+        // executed: the front is always queued and ready.
+        const Request &front = queue_.front();
+        if (!front.queued || front.unmetDeps != 0)
+            darth_panic("Scheduler::pickNext: queue front ", front.id,
+                        " is not a ready queued request");
+        return front.id;
     }
     // Greedy: earliest achievable start, submission order as the
     // tiebreak. A request's start is max(readyBound, T) with T its
@@ -241,22 +226,10 @@ Scheduler::pickNext()
 }
 
 void
-Scheduler::setDequeueHook(DequeueHook hook)
+Scheduler::setDrainOrder(DrainOrder order)
 {
     SeqLock lock(mu_);
-    dequeueHook_ = std::move(hook);
-}
-
-DequeueHook
-Scheduler::submissionOrderHook()
-{
-    return [](const std::vector<QueuedRequest> &queue) {
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < queue.size(); ++i)
-            if (queue[i].id < queue[best].id)
-                best = i;
-        return best;
-    };
+    drainOrder_ = order;
 }
 
 SchedulerCounters

@@ -17,9 +17,9 @@
  * waitAll()/barrier), always in a deterministic greedy order —
  * earliest achievable start first, submission order as tiebreak — so
  * results and timings are reproducible regardless of wait order.
- * A pluggable dequeue hook (setDequeueHook) lets a serving front end
- * override the greedy order, e.g. to drain strictly in admission
- * order (see src/serve/Admission.h).
+ * A serving front end may instead drain strictly in submission order
+ * (setDrainOrder(DrainOrder::Submission); see src/serve/Admission.h),
+ * so QoS decided at admission is not re-decided by the packer.
  *
  * The greedy pick never scans the queue. Each request's bound
  * max(earliest, dependency done cycles) is stored once, when its last
@@ -34,9 +34,10 @@
  * queue therefore holds every id since the oldest queued request,
  * not only the queued ones: a request held back by a late `earliest`
  * keeps every younger executed request's slot (a Request with no
- * heap storage) until it runs. A hook sees the whole queue, so a
- * hooked pick costs O(n) to build its view; a hook pick that is out
- * of range or not ready falls back to the indexed greedy pick.
+ * heap storage) until it runs. A submission-order pick is the front
+ * of the queue, O(1): the front is never a tombstone, and it is
+ * always ready, since its `after` dependencies are older requests and
+ * every older request has executed.
  *
  * A submit may name `after` dependencies — futures of earlier
  * requests whose done cycles feed the request's `earliest` bound.
@@ -56,7 +57,6 @@
 
 #include <cstddef>
 #include <deque>
-#include <functional>
 #include <map>
 #include <set>
 #include <utility>
@@ -100,28 +100,14 @@ class MvmFuture
     const Scheduler *owner_ = nullptr;
 };
 
-/** Public view of one queued request, offered to dequeue hooks. */
-struct QueuedRequest
+/** Order in which a drain executes queued requests. */
+enum class DrainOrder
 {
-    RequestId id = 0;
-    /** Session that submitted the request. */
-    u64 session = 0;
-    /** Registry id of the target placement. */
-    int handle = -1;
-    /** Lower bound on the start cycle given at submit. */
-    Cycle earliest = 0;
-    /** Earliest start the request could achieve right now; the max
-     *  Cycle value while not ready, so start-sorting hooks never
-     *  prefer a dependency-blocked request. */
-    Cycle achievableStart = 0;
-    /**
-     * KernelModel oracle latency of this MVM (worst placement part),
-     * stamped at submit so dequeue hooks and the admission layer can
-     * charge cost without re-deriving it from shape lookups.
-     */
-    Cycle oracleCost = 0;
-    /** False while an `after` dependency is still unexecuted. */
-    bool ready = true;
+    /** Earliest achievable start first, submission order as the
+     *  tiebreak (the default). */
+    EarliestStart,
+    /** Strictly by RequestId, oldest first. */
+    Submission,
 };
 
 /** Lifetime counters of one scheduler (serving telemetry). */
@@ -147,14 +133,6 @@ struct SchedulerCounters
     u64 kernelCacheHits = 0;
     u64 kernelCacheMisses = 0;
 };
-
-/**
- * Picks the index (into the queue view) of the next request to
- * execute. Returning an index >= the view size falls back to the
- * greedy earliest-start default for that pick.
- */
-using DequeueHook =
-    std::function<std::size_t(const std::vector<QueuedRequest> &)>;
 
 /** Result of one MVM request. */
 struct MvmResult
@@ -272,17 +250,11 @@ class Scheduler
     std::size_t pendingRequests(u64 session) const EXCLUDES(mu_);
 
     /**
-     * Install (or, with a null hook, remove) a dequeue-order
-     * override. The hook sees a snapshot of the queue and names the
-     * request to execute next; timings still honour per-tile
-     * busy-until packing, so the hook reorders service, it does not
-     * bypass contention. The default (no hook) is the greedy
-     * earliest-achievable-start order.
+     * Set the order later drains execute queued requests in. Timings
+     * still honour per-tile busy-until packing in either order: the
+     * order decides service, it does not bypass contention.
      */
-    void setDequeueHook(DequeueHook hook) EXCLUDES(mu_);
-
-    /** A hook that drains strictly in submission (RequestId) order. */
-    static DequeueHook submissionOrderHook();
+    void setDrainOrder(DrainOrder order) EXCLUDES(mu_);
 
     /** Requests executed over the scheduler's lifetime. */
     u64 completedCount() const EXCLUDES(mu_)
@@ -299,8 +271,8 @@ class Scheduler
 
     /**
      * KernelModel oracle latency of one MVM against a placement plan
-     * (the worst part) — the per-request cost stamped on
-     * QueuedRequest and the serving layer's nominal WFQ charge.
+     * (the worst part) — the per-request cost behind backlogCycles()
+     * and the serving layer's nominal WFQ charge.
      * Cached per shape.
      */
     Cycle oracleCost(const MatrixPlan &plan, int input_bits)
@@ -330,7 +302,7 @@ class Scheduler
         /** Captured at submit (the placement may be released before
          *  the result is collected). */
         u64 session = 0;
-        /** Oracle latency stamped at submit (see QueuedRequest). */
+        /** Oracle latency stamped at submit (see oracleCost()). */
         Cycle oracleCost = 0;
         /** `after` dependencies not yet executed; ready at zero. */
         std::size_t unmetDeps = 0;
@@ -387,8 +359,9 @@ class Scheduler
      *  executed, and add it to its placement's ReadyGroup. */
     void makeReady(Request &req) REQUIRES(mu_);
 
-    /** Id of the next request to run (greedy min-start among
-     *  dependency-ready requests; a hook may reorder within them). */
+    /** Id of the next request to run: the queue front under
+     *  Submission, else the greedy min-start among dependency-ready
+     *  requests. */
     RequestId pickNext() REQUIRES(mu_);
 
     /** Execute the queued request `id` and record its result. */
@@ -409,7 +382,7 @@ class Scheduler
     Chip &chip_;
     /** Mutable per-shape cost cache (oracleCost). */
     KernelModel kernels_ GUARDED_BY(mu_);
-    DequeueHook dequeueHook_ GUARDED_BY(mu_);
+    DrainOrder drainOrder_ GUARDED_BY(mu_) = DrainOrder::EarliestStart;
     /** Submitted requests in id order from queueBase_: executed ones
      *  stay as tombstones until they reach the front, so a retire
      *  shifts nothing and requestAt() is one subtraction. Its length
@@ -427,8 +400,6 @@ class Scheduler
     /** Ready index, keyed by PlacedMatrix::uid; only groups with
      *  ready work are present. */
     std::map<u64, ReadyGroup> ready_ GUARDED_BY(mu_);
-    /** Reused queue view handed to the dequeue hook. */
-    std::vector<QueuedRequest> hookView_ GUARDED_BY(mu_);
     /** Reused input rows of one row-split plan part. */
     std::vector<i64> partInput_ GUARDED_BY(mu_);
     std::map<RequestId, CompletedRequest> results_ GUARDED_BY(mu_);

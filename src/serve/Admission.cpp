@@ -142,8 +142,8 @@ AdmissionController::AdmissionController(ChipPool &pool,
     // Serving drains are strictly admission-ordered: QoS is decided
     // here, not re-decided by the packer's greedy order.
     for (std::size_t c = 0; c < pool_.numChips(); ++c)
-        pool_.runtime(c).scheduler().setDequeueHook(
-            runtime::Scheduler::submissionOrderHook());
+        pool_.runtime(c).scheduler().setDrainOrder(
+            runtime::DrainOrder::Submission);
 }
 
 AdmissionController::AdmissionController(ChipPool &pool,

@@ -43,9 +43,9 @@
  * Admission order, not scheduler drain order, is what carries QoS:
  * an admitted request's `earliest` bound is its admission instant,
  * so holding a request back delays it in simulated time. The
- * controller additionally installs the scheduler's submission-order
- * dequeue hook on every chip so drains service strictly in
- * admission order instead of the greedy earliest-start order.
+ * controller additionally sets every chip's scheduler to
+ * DrainOrder::Submission so drains service strictly in admission
+ * order instead of the greedy earliest-start order.
  *
  * Time here is wall-clock nanoseconds (common/Types.h WallNs):
  * chips are independent cycle domains, and every per-chip cycle

@@ -746,8 +746,8 @@ ChipPool::nominalServiceCycles(ModelRef model, int input_bits)
         lookupModel(model, "ChipPool::nominalServiceCycles");
     if (m.inference != nullptr)
         return m.inference->oracleCost;
-    // The owning chip's scheduler caches kernel oracle measurements;
-    // QueuedRequest carries the same per-request cost.
+    // The owning chip's scheduler caches kernel oracle measurements
+    // (the same per-request cost its backlogCycles() sums).
     return runtimes_[m.chip]->scheduler().oracleCost(m.handle.plan(),
                                                      input_bits);
 }

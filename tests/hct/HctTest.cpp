@@ -208,6 +208,60 @@ TEST(Hct, DigitalMacroThroughArbiter)
               (std::vector<i64>{11, 22, 33, 44, 55, 66, 77, 88}));
 }
 
+TEST(Hct, DependentMacrosChainOnOneTile)
+{
+    Hct hct(smallHct());
+    hct.loadVector(1, 0, {1, 2, 3, 4, 5, 6, 7, 8}, 16, 0);
+    hct.loadVector(1, 1, {10, 20, 30, 40, 50, 60, 70, 80}, 16, 0);
+    const Cycle sub_done =
+        hct.digitalMacro(1, digital::MacroKind::Sub, 3, 1, 0, 16, 0);
+    const Cycle xor_done = hct.digitalMacro(
+        1, digital::MacroKind::Xor, 4, 0, 1, 16, sub_done);
+    // The second ADD reads the first's output register.
+    const Cycle add_done = hct.digitalMacro(
+        1, digital::MacroKind::Add, 5, 3, 3, 16, xor_done);
+    EXPECT_GT(xor_done, sub_done);
+    EXPECT_GT(add_done, xor_done);
+    EXPECT_EQ(hct.readVector(1, 3, 16),
+              (std::vector<i64>{9, 18, 27, 36, 45, 54, 63, 72}));
+    EXPECT_EQ(hct.readVector(1, 4, 16),
+              (std::vector<i64>{1 ^ 10, 2 ^ 20, 3 ^ 30, 4 ^ 40, 5 ^ 50,
+                                6 ^ 60, 7 ^ 70, 8 ^ 80}));
+    EXPECT_EQ(hct.readVector(1, 5, 16),
+              (std::vector<i64>{18, 36, 54, 72, 90, 108, 126, 144}));
+}
+
+TEST(Hct, ElementLoadGathersFromTablePipeline)
+{
+    Hct hct(smallHct());
+    // Table in pipeline 2: entry t = 2t across registers 0..1.
+    for (u64 t = 0; t < 16; ++t)
+        hct.dce().pipeline(2).setElement(t / 8, t % 8, 2 * t);
+    hct.loadVector(1, 0, {0, 3, 5, 7, 9, 11, 13, 15}, 8, 0);
+    const Cycle done = hct.elementLoad(1, 4, 0, 2, 0, 8, 0);
+    EXPECT_GT(done, 0u);
+    EXPECT_EQ(hct.readVector(1, 4, 8),
+              (std::vector<i64>{0, 6, 10, 14, 18, 22, 26, 30}));
+}
+
+TEST(Hct, MvmLeavesResultInAccumulator)
+{
+    // The reduction accumulates into VR 0 of pipeline 0, where later
+    // digital macros can read it.
+    Hct hct(smallHct());
+    MatrixI m(8, 8);
+    for (std::size_t r = 0; r < 8; ++r)
+        for (std::size_t c = 0; c < 8; ++c)
+            m(r, c) = static_cast<i64>((r + c) % 3) - 1;
+    hct.setMatrix(m, 1, 1);
+    const std::vector<i64> x = {1, 0, 1, 1, 0, 1, 0, 1};
+    const auto result = hct.execMvm(x, 4, 0);
+    const auto acc = hct.readVector(
+        0, 0, static_cast<std::size_t>(hct.accumulatorBits(4)));
+    EXPECT_EQ(acc, hct.ace().referenceMvm(x));
+    EXPECT_EQ(result.values, acc);
+}
+
 TEST(Hct, DisableAnalogModeBlocksMvm)
 {
     Hct hct(smallHct());

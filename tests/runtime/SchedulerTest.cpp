@@ -419,45 +419,11 @@ TEST(Scheduler, QueueDepthAndPendingRequestsTrackSessions)
     EXPECT_EQ(rt.scheduler().pendingRequests(tenant_b.id()), 1u);
 }
 
-TEST(Scheduler, DequeueHookOverridesGreedyOrder)
-{
-    // Two queued requests on disjoint tiles: the greedy default
-    // executes the first-submitted one when resolving it; a hook that
-    // picks the newest id executes the other one first instead.
-    auto run_case = [](bool install_hook) {
-        Chip chip(smallChip(2));
-        Runtime rt(chip);
-        if (install_hook)
-            rt.scheduler().setDequeueHook(
-                [](const std::vector<QueuedRequest> &queue) {
-                    std::size_t best = 0;
-                    for (std::size_t i = 1; i < queue.size(); ++i)
-                        if (queue[i].id > queue[best].id)
-                            best = i;
-                    return best;
-                });
-        Session session = rt.createSession();
-        const MatrixHandle a =
-            session.setMatrix(randomMatrix(8, 8, 0, 1, 522), 1, 0);
-        const MatrixHandle b =
-            session.setMatrix(randomMatrix(8, 8, 0, 1, 523), 1, 0);
-        const MvmFuture fa =
-            session.submit(a, std::vector<i64>(8, 1), 1);
-        (void)session.submit(b, std::vector<i64>(8, 1), 1);
-        (void)session.wait(fa);
-        // Greedy: only `fa` has executed, `fb` is still queued.
-        // Newest-first hook: `fb` executed on the way to `fa`.
-        return rt.scheduler().uncollectedCount();
-    };
-    EXPECT_EQ(run_case(false), 0u);
-    EXPECT_EQ(run_case(true), 1u);
-}
-
 TEST(Scheduler, SubmissionOrderHookKeepsFifoTimingUnderEarliest)
 {
     // A same-matrix stream submitted out of earliest order: the
     // greedy packer would run the unconstrained request first; the
-    // submission-order hook serves strictly in submission order, so
+    // submission drain order serves strictly in submission order, so
     // the later-submitted request pays the pipeline spacing.
     const auto cfg = smallChip(1);
     KernelModel km(cfg.hct);
@@ -465,7 +431,7 @@ TEST(Scheduler, SubmissionOrderHookKeepsFifoTimingUnderEarliest)
 
     Chip chip(cfg);
     Runtime rt(chip);
-    rt.scheduler().setDequeueHook(Scheduler::submissionOrderHook());
+    rt.scheduler().setDrainOrder(DrainOrder::Submission);
     Session session = rt.createSession();
     const MatrixHandle handle =
         session.setMatrix(randomMatrix(8, 8, 0, 1, 524), 1, 0);
@@ -637,43 +603,6 @@ TEST(Scheduler, CountersTrackPipelineHitsAndDependencyStalls)
     EXPECT_EQ(rt.scheduler().counters().dependencyStalls, 1u);
 }
 
-TEST(Scheduler, QueuedRequestViewCarriesOracleCostAndReadiness)
-{
-    const auto cfg = smallChip(2);
-    Chip chip(cfg);
-    Runtime rt(chip);
-    Session session = rt.createSession();
-    const MatrixHandle a =
-        session.setMatrix(randomMatrix(8, 8, 0, 1, 538), 1, 0);
-    const MatrixHandle b =
-        session.setMatrix(randomMatrix(8, 8, 0, 1, 539), 1, 0);
-
-    // Capture the queue view the first time the hook fires, then
-    // fall back to the greedy order (out-of-range pick).
-    std::vector<QueuedRequest> seen;
-    rt.scheduler().setDequeueHook(
-        [&seen](const std::vector<QueuedRequest> &queue) {
-            if (seen.empty())
-                seen = queue;
-            return queue.size();
-        });
-
-    const MvmFuture fa = session.submit(a, std::vector<i64>(8, 1), 2);
-    (void)session.submit(b, std::vector<i64>(8, 1), 2, 0, {fa});
-    session.waitAll();
-
-    ASSERT_EQ(seen.size(), 2u);
-    // The dependency-free request is ready; the dependent one is not
-    // until its dependency executes.
-    EXPECT_TRUE(seen[0].ready);
-    EXPECT_FALSE(seen[1].ready);
-    // Both carry the KernelModel oracle latency of their shape.
-    KernelModel km(cfg.hct);
-    const Cycle oracle = km.mvm(MvmShape{8, 8, 1, 1, 2}).latency;
-    EXPECT_EQ(seen[0].oracleCost, oracle);
-    EXPECT_EQ(seen[1].oracleCost, oracle);
-}
-
 TEST(Scheduler, BacklogCyclesTracksQueuedOracleWork)
 {
     // backlogCycles is queue pressure in cycles: the summed oracle
@@ -729,6 +658,34 @@ TEST(Scheduler, LaterSubmissionOnAnotherPlacementWinsOnStart)
     EXPECT_EQ(session.wait(free_req).start, 0u);
 }
 
+TEST(Scheduler, SubmissionOrderRunsHeldOlderRequestFirst)
+{
+    // The mirror of LaterSubmissionOnAnotherPlacementWinsOnStart:
+    // under the submission drain order the older request held back by
+    // its `earliest` bound runs first, and the younger request waits
+    // for it even though its own placement is idle.
+    Chip chip(smallChip(2));
+    Runtime rt(chip);
+    rt.scheduler().setDrainOrder(DrainOrder::Submission);
+    Session session = rt.createSession();
+    const MatrixHandle a =
+        session.setMatrix(randomMatrix(8, 8, 0, 1, 542), 1, 0);
+    const MatrixHandle b =
+        session.setMatrix(randomMatrix(8, 8, 0, 1, 543), 1, 0);
+    const MvmFuture held =
+        session.submit(a, std::vector<i64>(8, 1), 1, /*earliest=*/5000);
+    const MvmFuture free_req =
+        session.submit(b, std::vector<i64>(8, 1), 1);
+    const auto r_held = session.wait(held);
+    // Resolving the older request executed nothing else.
+    EXPECT_EQ(rt.scheduler().pendingCount(), 1u);
+    EXPECT_EQ(rt.scheduler().uncollectedCount(), 0u);
+    EXPECT_EQ(r_held.start, 5000u);
+    // Disjoint tiles: the younger request still starts at cycle 0 in
+    // simulated time; only its service order moved.
+    EXPECT_EQ(session.wait(free_req).start, 0u);
+}
+
 TEST(Scheduler, LowestIdWithLargestBoundIsNotPickedFirst)
 {
     // Within one placement the front of the queue carries the largest
@@ -769,10 +726,10 @@ struct DrainOutcome
  * column stripes, row splits over one and two column tiles) across
  * two sessions; submits with varied `earliest` bounds and `after`
  * edges across handles; waits in random order interleaved with
- * waitAll, drainSession and drainMatrix; a newest-first hook with
- * out-of-range picks, then the submission-order hook, then none.
- * The digest folds every result's (id, start, done, values) in id
- * order and every queue view the hooks saw.
+ * waitAll, drainSession and drainMatrix; the earliest-start drain
+ * order, then submission order from step 80, then earliest-start
+ * again from step 110. The digest folds every result's (id, start,
+ * done, values) in id order.
  */
 DrainOutcome
 drainMix(u64 seed)
@@ -808,26 +765,6 @@ drainMix(u64 seed)
     EXPECT_EQ(targets[3].handle.plan().parts.size(), 4u);
     EXPECT_TRUE(targets[3].handle.plan().rowSplit);
 
-    u64 view_digest = kFnvOffsetBasis;
-    std::size_t hook_calls = 0;
-    auto newest_first = [&](const std::vector<QueuedRequest> &queue) {
-        for (const QueuedRequest &q : queue)
-            for (u64 word :
-                 {q.id, q.session, static_cast<u64>(q.handle),
-                  q.earliest, q.achievableStart, q.oracleCost,
-                  static_cast<u64>(q.ready)})
-                view_digest = fnv1aWord(word, view_digest);
-        // Every fifth pick is out of range; a newest pick that is not
-        // ready yet also falls back to the greedy order.
-        if (++hook_calls % 5 == 0)
-            return queue.size();
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < queue.size(); ++i)
-            if (queue[i].id > queue[best].id)
-                best = i;
-        return best;
-    };
-
     struct Outstanding
     {
         MvmFuture future;
@@ -845,12 +782,10 @@ drainMix(u64 seed)
     };
 
     for (int step = 0; step < 160; ++step) {
-        if (step == 40)
-            sched.setDequeueHook(newest_first);
         if (step == 80)
-            sched.setDequeueHook(Scheduler::submissionOrderHook());
+            sched.setDrainOrder(DrainOrder::Submission);
         if (step == 110)
-            sched.setDequeueHook(nullptr);
+            sched.setDrainOrder(DrainOrder::EarliestStart);
         const u64 op = rng.uniformInt(u64{20});
         if (op < 12) {
             Target &t = targets[rng.uniformInt(targets.size())];
@@ -895,10 +830,9 @@ drainMix(u64 seed)
         collect(rng.uniformInt(outstanding.size()));
     EXPECT_EQ(sched.pendingCount(), 0u);
     EXPECT_EQ(sched.uncollectedCount(), 0u);
-    EXPECT_GT(hook_calls, 0u);
 
     DrainOutcome out;
-    out.digest = view_digest;
+    out.digest = kFnvOffsetBasis;
     for (const auto &[id, r] : results) {
         out.digest = fnv1aWord(id, out.digest);
         out.digest = fnv1aWord(r.start, out.digest);
@@ -914,20 +848,21 @@ drainMix(u64 seed)
 }
 
 // The drain order is pinned: every start, done and value of eight
-// random mixes, the queue views the hooks saw, the counters and the
-// makespan must reproduce the constants recorded with the original
-// linear-scan greedy drain.
+// random mixes, the counters and the makespan must reproduce the
+// constants recorded with the dequeue-hook scheduler that
+// DrainOrder replaced (its submission-order hook from step 80, no
+// hook before and from step 110).
 TEST(Scheduler, SchedulerDrainPinned)
 {
     const std::array<DrainOutcome, 8> pinned = {{
-        {0x1db1b6b863931f39ULL, 99, 56, 39, 15025},
-        {0x236ecd1666ae4540ULL, 93, 57, 38, 14551},
-        {0xac55f507cff3fdc0ULL, 84, 47, 39, 17889},
-        {0xa5b356edd382c57cULL, 110, 63, 38, 14867},
-        {0x9a409244be230f1fULL, 98, 53, 48, 16198},
-        {0x1a5e95c33e8f3490ULL, 102, 60, 40, 19105},
-        {0x3a4d8d034a3013a6ULL, 90, 50, 39, 16368},
-        {0xf41cd709e638b708ULL, 92, 41, 51, 20313},
+        {0x5b4f989754e7accdULL, 99, 58, 36, 14929},
+        {0xb1dd2f723cfb36e3ULL, 93, 57, 38, 14407},
+        {0xaf423dd8ef01884dULL, 84, 47, 39, 17889},
+        {0x1c0a60e600f71d1cULL, 110, 63, 38, 14867},
+        {0xcba27457039a39c2ULL, 98, 53, 48, 16198},
+        {0x1ffd4b21868cc8e6ULL, 102, 61, 40, 19041},
+        {0xd10183ba3df010faULL, 90, 51, 38, 16480},
+        {0x48c960acff3f9fdaULL, 92, 41, 51, 20313},
     }};
     for (u64 seed = 1; seed <= pinned.size(); ++seed) {
         const DrainOutcome got = drainMix(seed);
